@@ -13,7 +13,8 @@ the tabular payloads instead).  Exact rationals always appear as ``p/q``
 strings; CSV adds a decimal column.  Partitions use the pipe format
 ``1|2 6 7|3 5|4|8``; group elements are JSON lists of signed images like
 ``[2,-1,3]``.  Exit codes: 0 success, 2 bad input, 3 resource cap.  The
-NONCROSS_CAP environment variable raises or lowers the enumeration cap.
+NONCROSS_CAP environment variable raises or lowers the enumeration cap; the
+series transforms of the free group have a fixed order cap.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def _pq(args: argparse.Namespace) -> tuple[NCPartition, NCPartition]:
     if args.p is not None and args.q is not None:
         return _partition(args.p), _partition(args.q)
     if args.m is not None and args.p is None and args.q is None:
+        if args.m < 1:
+            raise FormatError("--m must be >= 1")
         return NCPartition.bottom(args.m), NCPartition.top(args.m)
     raise FormatError("give both --p and --q, or --m alone for bottom/top")
 
@@ -472,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = free.add_parser("mult", help="multiplicative free convolution")
     sub.add_argument("--a", required=True)
     sub.add_argument("--b", required=True)
-    sub.add_argument("--route", choices=("kreweras", "stransform"), default="kreweras")
+    sub.add_argument("--route", choices=("kreweras", "stransform"), default="stransform")
     sub.set_defaults(handler=_free_mult)
     sub = free.add_parser("law", help="moments of a named law")
     sub.add_argument("--name", choices=_LAWS, required=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import NotComparable
+from .errors import FormatError, NotComparable
 from .partitions import (
     NCPartition,
     enumerate_nc,
@@ -152,6 +152,8 @@ def chain_census(m: int) -> dict:
     length m - 1 and every element on one, and the rank consistency of the
     covers (each cover step raises the rank by exactly one).
     """
+    if m < 1:
+        raise FormatError("m must be >= 1")
     elems = enumerate_nc(m)
     n = len(elems)
     le = _le_matrix(elems)

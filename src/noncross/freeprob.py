@@ -2,11 +2,13 @@
 
 The bridge between moments and free cumulants is the lattice NC(n): a moment
 is the sum over all non-crossing partitions of products of cumulants, one
-factor per block, and the inverse direction weights moment products with
-Mobius values.  Additive free convolution adds cumulant sequences;
-multiplicative free convolution either sums cumulant products over
-complementary pairs (p, Kreweras complement of p) or multiplies
-S-transforms.  Everything here is Fraction arithmetic; no floats.
+factor per block.  Its generating-function form M(z) = 1 + sum_s k_s z^s
+M(z)^s gives the same rationals degree by degree in O(n^3), without
+enumerating the lattice, and every transform here goes through it.
+Additive free convolution adds cumulant sequences; multiplicative free
+convolution multiplies S-transforms, or, on the lattice route, sums
+cumulant products over complementary pairs (p, Kreweras complement of p).
+Everything here is Fraction arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .errors import (
     FormatError,
     IrrationalResult,
     OrderMismatch,
+    ResourceCapExceeded,
     VanishingFirstMoment,
 )
-from .partitions import catalan, iter_nc, kreweras
-from .series import RationalSeries, Rat, _frac, parse_rationals
+from .partitions import SERIES_ORDER_CAP, catalan, iter_nc, kreweras
+from .series import RationalSeries, Rat, _frac, _power_columns, parse_rationals
 
 def _parse_values(text: str) -> tuple[Fraction, ...]:
     values = parse_rationals(text)
@@ -108,8 +111,9 @@ Profile = tuple[tuple[int, ...], tuple[int, ...], int]
 def _nc_profiles(n: int) -> tuple[Profile, ...]:
     """Distinct (block sizes of p, block sizes of complement, multiplicity).
 
-    One streaming pass over NC(n); the grouped table is all any transform
-    needs, since every summand below depends only on block sizes.
+    One streaming pass over NC(n), bounded by the enumeration cap; the
+    grouped table is all the lattice route needs, since every summand
+    depends only on block sizes.
     """
     counter: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
     for p in iter_nc(n):
@@ -128,50 +132,49 @@ def _product_over(sizes: tuple[int, ...], values: tuple[Fraction, ...]) -> Fract
     return out
 
 
-def _mobius_to_top(csizes: tuple[int, ...]) -> int:
-    """mu(q, full block) given the block sizes of the complement of q."""
-    out = 1
-    for s in csizes:
-        out *= (-1) ** (s - 1) * catalan(s - 1)
-    return out
+def _check_order(order: int) -> None:
+    if order > SERIES_ORDER_CAP:
+        raise ResourceCapExceeded(
+            f"series order {order} exceeds the cap {SERIES_ORDER_CAP}"
+        )
+
+
+def _solve_moment_cumulant(
+    values: tuple[Fraction, ...], *, from_cumulants: bool
+) -> tuple[Fraction, ...]:
+    """Solve M(z) = 1 + sum_s k_s z^s M(z)^s for the unknown side.
+
+    With u = z M(z), m_n = sum over s <= n of k_s [z^n] u^s, and the s = n
+    term is k_n itself, so each degree yields one new moment or cumulant.
+    """
+    order = len(values)
+    _check_order(order)
+    moments = [] if from_cumulants else values
+    kappa = values if from_cumulants else []
+    u = [Fraction(0)] * (order + 1)  # u_1 = 1, u_{n+1} = m_n
+    u[1] = Fraction(1)
+    for n, column in enumerate(_power_columns(u), start=1):
+        partial = kappa[0] * u[n] if n > 1 else Fraction(0)
+        for s in range(2, n):
+            if kappa[s - 1] and column[s - 2]:
+                partial += kappa[s - 1] * column[s - 2]
+        if from_cumulants:
+            moments.append(partial + kappa[n - 1])
+        else:
+            kappa.append(moments[n - 1] - partial)
+        if n < order:
+            u[n + 1] = moments[n - 1]
+    return tuple(moments if from_cumulants else kappa)
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
     """m_n = sum over NC(n) of the product of k_{|B|} over blocks B."""
-    out = []
-    for n in range(1, kappa.order + 1):
-        total = Fraction(0)
-        for sizes, _csizes, mult in _nc_profiles(n):
-            total += mult * _product_over(sizes, kappa.values)
-        out.append(total)
-    return MomentSequence(tuple(out))
+    return MomentSequence(_solve_moment_cumulant(kappa.values, from_cumulants=True))
 
 
 def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
-    """Free cumulants from moments, by two independent routes that must agree.
-
-    Mobius route: k_n = sum over q in NC(n) of (product of m_{|B|}) mu(q, top),
-    with mu(q, top) read off the complement block sizes.  Triangular route:
-    peel the top partition out of the moment sum and solve upward.  A mismatch
-    would mean an internal inconsistency, so it raises.
-    """
-    mob: list[Fraction] = []
-    tri: list[Fraction] = []
-    for n in range(1, m.order + 1):
-        total = Fraction(0)
-        for sizes, csizes, mult in _nc_profiles(n):
-            total += mult * _product_over(sizes, m.values) * _mobius_to_top(csizes)
-        mob.append(total)
-
-        rest = Fraction(0)
-        for sizes, _csizes, mult in _nc_profiles(n):
-            if sizes == (n,):
-                continue
-            rest += mult * _product_over(sizes, tuple(tri) + (Fraction(0),) * n)
-        tri.append(m.values[n - 1] - rest)
-    if mob != tri:
-        raise ArithmeticError("Mobius and triangular cumulant routes disagree")
-    return CumulantSequence(tuple(mob))
+    """Free cumulants from moments: the moment formula solved for k_n."""
+    return CumulantSequence(_solve_moment_cumulant(m.values, from_cumulants=False))
 
 
 def free_add_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
@@ -187,7 +190,11 @@ def free_add_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
 
 def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentSequence:
     """Moments of the product of free elements, by the complement pairing:
-    k_n(ab) = sum over p in NC(n) of k_p(a) k_{complement(p)}(b)."""
+    k_n(ab) = sum over p in NC(n) of k_p(a) k_{complement(p)}(b).
+
+    This is the lattice route: it enumerates NC(1..N), so the enumeration
+    cap bounds its order.
+    """
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
     ka = moments_to_cumulants(a)
@@ -215,43 +222,26 @@ def moment_series(m: MomentSequence) -> RationalSeries:
 
 
 def r_transform(m: MomentSequence) -> RationalSeries:
-    """R(z) solving R(z M(z) + z) = M(z); coefficients are the free cumulants.
-
-    Computed through the functional equation (an independent route from the
-    partition sums); the coefficient identity against moments_to_cumulants is
-    asserted on every call.
-    """
-    M = moment_series(m)
-    u = M.shift_up() + RationalSeries.identity(M.order)  # z M(z) + z
-    R = M.compose(u.compositional_inverse())
-    kappa = moments_to_cumulants(m)
-    assert R.coeffs[1:] == kappa.values, "transform route disagrees with partition sums"
-    return R
+    """R(z) = sum k_n z^n, the cumulant series; it solves R(z M(z) + z) = M(z)."""
+    return RationalSeries((Fraction(0),) + moments_to_cumulants(m).values)
 
 
 def s_transform(m: MomentSequence) -> RationalSeries:
-    """S(z), by both defining formulas, which must agree:
-    S(z) = R^{(-1)}(z) / z  and  S(z) = (1 + z)/z * M^{(-1)}(z).
+    """S(z) = (1 + z)/z * M^{(-1)}(z).
 
     Needs m_1 != 0.  The result is truncated at order N - 1 (constant term
     1/m_1 included), which is exactly what order-N moments determine.
     """
     if not m.values[0]:
         raise VanishingFirstMoment("S-transform needs a nonzero first moment")
-    R = r_transform(m)
-    via_r = R.compositional_inverse().shift_down()
-    M = moment_series(m)
-    minv = M.compositional_inverse().shift_down()  # M^{(-1)}(z) / z
+    _check_order(m.order)
+    minv = moment_series(m).compositional_inverse().shift_down()  # M^{(-1)}(z) / z
     one_plus_z = RationalSeries.constant(1, minv.order) + RationalSeries.identity(minv.order)
-    via_m = one_plus_z * minv
-    if via_r.coeffs != via_m.coeffs:
-        raise ArithmeticError("the two S-transform formulas disagree")
-    return via_m
+    return one_plus_z * minv
 
 
 def _moments_from_s(s: RationalSeries) -> MomentSequence:
     """Recover moments m_1..m_{N} from S truncated at order N - 1."""
-    order = s.order + 1
     one_plus_z = RationalSeries.constant(1, s.order) + RationalSeries.identity(s.order)
     minv_over_z = s * one_plus_z.reciprocal()  # M^{(-1)}(z) / z
     minv = RationalSeries((Fraction(0),) + minv_over_z.coeffs)
@@ -269,8 +259,15 @@ def free_mult_convolve_stransform(a: MomentSequence, b: MomentSequence) -> Momen
 # Named laws.
 
 
+def _check_law_order(order: int) -> None:
+    if order < 1:
+        raise FormatError("order must be >= 1")
+    _check_order(order)
+
+
 def semicircle_moments(order: int) -> MomentSequence:
     """Standard semicircle: odd moments 0, m_{2k} = C_k; R(z) = z^2."""
+    _check_law_order(order)
     return MomentSequence.of(
         [0 if n % 2 else catalan(n // 2) for n in range(1, order + 1)]
     )
@@ -278,93 +275,62 @@ def semicircle_moments(order: int) -> MomentSequence:
 
 def free_poisson_moments(order: int) -> MomentSequence:
     """Free Poisson (Marchenko-Pastur, rate 1): m_k = C_k, all cumulants 1."""
+    _check_law_order(order)
     return MomentSequence.of([catalan(n) for n in range(1, order + 1)])
 
 
 def free_bessel_moments(ell: int, order: int) -> MomentSequence:
-    """Free Bessel family: the law with S(z) = 1/(1+z)^ell.
+    """Free Bessel family: the law with S(z) = 1/(1+z)^ell, the ell-fold
+    multiplicative free convolution of free Poisson.
 
-    Computed by inverting the S-transform relation, i.e. as the coefficients
-    of the compositional inverse of z/(1+z)^(ell+1); equivalently the
-    ell-fold multiplicative free convolution of free Poisson.  ell = 0 is the
-    point mass at 1, ell = 1 is free Poisson.
+    Its moments are the Fuss-Catalan numbers binom((ell+1)k, k)/(ell k + 1)
+    (Mlotkowski 2010).  ell = 0 is the point mass at 1, ell = 1 is free
+    Poisson.
     """
     if ell < 0:
         raise FormatError("ell must be >= 0")
-    one_plus_z = RationalSeries.constant(1, order) + RationalSeries.identity(order)
-    denom = RationalSeries.constant(1, order)
-    for _ in range(ell + 1):
-        denom = denom * one_plus_z
-    minv = RationalSeries.identity(order) * denom.reciprocal()  # z/(1+z)^(ell+1)
-    return MomentSequence(minv.compositional_inverse().coeffs[1:])
+    _check_law_order(order)
+    return MomentSequence(
+        tuple(
+            Fraction(math.comb((ell + 1) * k, k), ell * k + 1)
+            for k in range(1, order + 1)
+        )
+    )
 
 
-def nc_pair_count(n: int) -> int:
-    """Number of non-crossing pair partitions of 1..n, by direct enumeration.
-
-    Zero for odd n; equals C_{n/2} for even n (semicircle moments).
-    """
-
-    def count(size: int) -> int:
-        if size == 0:
-            return 1
-        if size % 2:
-            return 0
-        total = 0
-        # partner of the first point, leaving an even run inside the arc
-        for inside in range(0, size - 1, 2):
-            total += count(inside) * count(size - 2 - inside)
-        return total
-
-    if n < 0:
-        raise FormatError("n must be >= 0")
-    return count(n)
+def _sum_moments(kappa: CumulantSequence, n_summands: int) -> tuple[Fraction, ...]:
+    """Moments of the unnormalised sum a_1 + ... + a_N of free copies: its
+    cumulants are N k_j."""
+    if n_summands < 1:
+        raise FormatError("need at least one summand")
+    scaled = CumulantSequence(tuple(n_summands * k for k in kappa.values))
+    return cumulants_to_moments(scaled).values
 
 
 def clt_moments(kappa: CumulantSequence, n_summands: int) -> MomentSequence:
     """Exact moments of the rescaled sum (a_1 + ... + a_N)/sqrt(N) of free
     copies with the given cumulants.
 
-    Cumulants scale as k_j -> N^{1 - j/2} k_j, so a non-crossing partition
-    with b blocks on n points contributes with the factor N^{b - n/2}.  For
-    even n the exponent is an integer; for odd n a surviving sqrt(N) is
-    irrational unless N is a perfect square, in which case it folds in
-    exactly.  Otherwise this raises rather than rounding.
+    Moment n is that of the unnormalised sum divided by N^{n/2}.  For odd n
+    a surviving sqrt(N) is irrational unless N is a perfect square, in
+    which case it folds in exactly.  Otherwise this raises rather than
+    rounding.
     """
-    if n_summands < 1:
-        raise FormatError("need at least one summand")
     N = n_summands
+    moments = _sum_moments(kappa, N)
     root = math.isqrt(N)
     out = []
-    for n in range(1, kappa.order + 1):
-        whole, half = _clt_moment_parts(kappa, n, N)
-        if half:
-            if root * root != N:
+    for n, value in enumerate(moments, start=1):
+        scale = N ** (n // 2)
+        if n % 2:
+            if value and root * root != N:
                 raise IrrationalResult(
                     f"moment {n} of the rescaled sum carries sqrt({N}); "
                     "use a perfect-square N or a base with vanishing odd terms"
                 )
-            whole += half * root
-        out.append(whole)
+            scale *= root
+        out.append(value / scale)
     return MomentSequence(tuple(out))
-
-
-def _clt_moment_parts(
-    kappa: CumulantSequence, n: int, N: int
-) -> tuple[Fraction, Fraction]:
-    """Moment n of the rescaled free sum, split as whole + half * sqrt(N)."""
-    whole = Fraction(0)
-    half = Fraction(0)
-    for sizes, _csizes, mult in _nc_profiles(n):
-        term = mult * _product_over(sizes, kappa.values)
-        if not term:
-            continue
-        e2 = 2 * len(sizes) - n  # twice the exponent of N
-        if e2 % 2 == 0:
-            whole += term * Fraction(N) ** (e2 // 2)
-        else:
-            half += term * Fraction(N) ** ((e2 - 1) // 2)
-    return whole, half
 
 
 def clt_even_moments(
@@ -372,15 +338,10 @@ def clt_even_moments(
 ) -> tuple[Fraction, ...]:
     """The even moments m_2, m_4, ... of the rescaled free sum.
 
-    On an even number of points every non-crossing partition contributes an
-    integer power of N, so these are exact rationals for every N — no
-    perfect-square requirement.
+    N^{n/2} is an integer for even n, so these are exact rationals for
+    every N — no perfect-square requirement.
     """
-    if n_summands < 1:
-        raise FormatError("need at least one summand")
-    out = []
-    for n in range(2, kappa.order + 1, 2):
-        whole, half = _clt_moment_parts(kappa, n, n_summands)
-        assert half == 0, "even moments never carry sqrt(N)"
-        out.append(whole)
-    return tuple(out)
+    moments = _sum_moments(kappa, n_summands)
+    return tuple(
+        moments[n - 1] / n_summands ** (n // 2) for n in range(2, len(moments) + 1, 2)
+    )

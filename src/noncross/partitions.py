@@ -34,6 +34,8 @@ from .errors import (
 
 DEFAULT_ENUM_CAP = 12
 ENUM_CAP_ENV = "NONCROSS_CAP"
+# Largest truncation order of the exact series transforms in freeprob.
+SERIES_ORDER_CAP = 60
 
 # Ground sets of at most this size keep their full NC enumeration cached.
 _CACHE_LIMIT = 10
@@ -213,6 +215,14 @@ class NCPartition:
 
     def to_json(self) -> dict:
         return self.underlying.to_json()
+
+
+def _trusted(underlying: SetPartition) -> NCPartition:
+    """Wrap a partition that is non-crossing by construction, skipping the
+    check in ``NCPartition.__post_init__``."""
+    p = object.__new__(NCPartition)
+    object.__setattr__(p, "underlying", underlying)
+    return p
 
 
 def rank(p: NCPartition) -> int:
@@ -461,7 +471,7 @@ def iter_nc(m: int, cap: int | None = None) -> Iterator[NCPartition]:
         raise FormatError("m must be non-negative")
     _check_cap(m, cap)
     for bl in _iter_blocklists(tuple(range(1, m + 1))):
-        yield NCPartition(SetPartition(m, bl))
+        yield _trusted(SetPartition(m, bl))
 
 
 def enumerate_nc(m: int, cap: int | None = None) -> list[NCPartition]:
@@ -480,7 +490,7 @@ def nc_ideal(q: NCPartition) -> Iterator[NCPartition]:
         out: list[tuple[int, ...]] = []
         for part in combo:
             out.extend(part)
-        yield NCPartition(SetPartition(q.m, tuple(sorted(out))))
+        yield _trusted(SetPartition(q.m, tuple(sorted(out))))
 
 
 def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:

@@ -11,6 +11,8 @@ carries its own statistical yardstick.
 Randomness comes from the counter-based Philox generator with one jumped
 substream per trial, so results are reproducible for a given seed and
 independent of how trials are scheduled; reductions run in trial order.
+NumPy is imported inside the functions that use it, so importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FormatError
 from .freeprob import free_bessel_moments
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KINDS = ("product", "power")
 
@@ -73,17 +77,23 @@ class MomentEstimate:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The Philox substream for one trial: the base keyed stream jumped
     ``trial`` times (2^128 counter steps apart)."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=seed).jumped(trial))
 
 
 def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """One N x N complex Ginibre matrix with entry variance 1/N."""
+    import numpy as np
+
     real = rng.standard_normal((n, n))
     imag = rng.standard_normal((n, n))
     return (real + 1j * imag) / np.sqrt(2 * n)
 
 
 def _trial_moments(spec: GinibreSpec, k_max: int, trial: int) -> np.ndarray:
+    import numpy as np
+
     rng = trial_rng(spec.seed, trial)
     if spec.kind == "product":
         w = sample_ginibre(spec.n, rng)
@@ -108,7 +118,12 @@ def estimate_moments(
     and the exact rational targets from the moment calculus."""
     if k_max < 1:
         raise FormatError("k_max must be >= 1")
-    if threads <= 1:
+    if threads < 1:
+        raise FormatError("threads must be >= 1")
+    import numpy as np
+
+    targets = free_bessel_moments(spec.ell, k_max)
+    if threads == 1:
         rows = [_trial_moments(spec, k_max, t) for t in range(spec.trials)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -118,7 +133,6 @@ def estimate_moments(
     data = np.vstack(rows)
     means = data.mean(axis=0)
     stderr = data.std(axis=0, ddof=1) / np.sqrt(spec.trials)
-    targets = free_bessel_moments(spec.ell, k_max)
     return [
         MomentEstimate(
             k=k,

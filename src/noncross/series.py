@@ -2,16 +2,16 @@
 
 A :class:`RationalSeries` holds coefficients c_0..c_N of a series truncated
 at a fixed order N; all arithmetic stays inside ``fractions.Fraction``.  The
-compositional inverse is solved order by order (the linear coefficient of the
-unknown enters each new coefficient only through the invertible c_1), which
-is all the transform calculus downstream needs.
+compositional inverse, like the moment-cumulant transforms built on this
+module, is solved degree by degree over incrementally built powers of the
+unknown series, in O(N^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .errors import FormatError, OrderMismatch, VanishingFirstMoment
 
@@ -146,20 +146,24 @@ class RationalSeries:
     def compositional_inverse(self) -> "RationalSeries":
         """The series h with f(h(z)) = z, for f = c_1 z + ... with c_1 != 0.
 
-        Solved degree by degree: the degree-n coefficient of f(h) is
-        c_1 h_n plus terms from lower-degree coefficients of h.
+        Solved degree by degree: [z^k] f(h) = c_1 h_k + sum over j >= 2 of
+        c_j [z^k] h^j, and the powers h^j only need h_1..h_{k-1}.
         """
-        if self.coeffs[0]:
+        c = self.coeffs
+        if c[0]:
             raise FormatError("compositional inverse needs zero constant term")
-        if not self.coeffs[1]:
+        if not c[1]:
             raise VanishingFirstMoment("compositional inverse needs c_1 != 0")
-        n = self.order
-        h = [Fraction(0)] * (n + 1)
-        if n >= 1:
-            h[1] = 1 / self.coeffs[1]
-        for k in range(2, n + 1):
-            cur = self.compose(RationalSeries(tuple(h))).coeffs[k]
-            h[k] = -cur / self.coeffs[1]
+        h = [Fraction(0)] * (self.order + 1)
+        h[1] = 1 / c[1]
+        columns = _power_columns(h)
+        next(columns)  # degree 1 holds no power above the first
+        for k, column in enumerate(columns, start=2):
+            acc = Fraction(0)
+            for j, power in enumerate(column, start=2):
+                if c[j] and power:
+                    acc += c[j] * power
+            h[k] = -acc / c[1]
         return RationalSeries(tuple(h))
 
     def derivative(self) -> "RationalSeries":
@@ -170,9 +174,29 @@ class RationalSeries:
         return "[" + ", ".join(format_fraction(c) for c in self.coeffs) + "]"
 
 
-def series_compositional_inverse(f: RationalSeries) -> RationalSeries:
-    """Module-level alias for :meth:`RationalSeries.compositional_inverse`."""
-    return f.compositional_inverse()
+def _power_columns(y: list[Fraction]) -> Iterator[list[Fraction]]:
+    """Columns of the power table of y = y_1 z + y_2 z^2 + ..., for a series
+    that the caller solves degree by degree in place.
+
+    The k-th column (k = 1..len(y) - 1) holds [z^k] y^j for j = 2..k, at
+    index j - 2.  It reads only y_1..y_{k-1}, so the caller may set y_k
+    after reading it.  All columns together cost O(N^3) products.
+    """
+    n = len(y) - 1
+    rows = [y]  # rows[j - 1][k] = [z^k] y^j
+    for k in range(1, n + 1):
+        column = []
+        for j in range(2, k + 1):
+            if len(rows) < j:
+                rows.append([Fraction(0)] * (n + 1))
+            lower = rows[j - 2]
+            acc = Fraction(0)
+            for i in range(1, k - j + 2):
+                if y[i] and lower[k - i]:
+                    acc += y[i] * lower[k - i]
+            rows[j - 1][k] = acc
+            column.append(acc)
+        yield column
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -181,18 +205,3 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
     if any(not t.strip() for t in items):
         raise FormatError(f"cannot parse rational list {text!r}")
     return tuple(parse_fraction(t) for t in items)
-
-
-def lagrange_inverse_coefficient(f: RationalSeries, n: int) -> Fraction:
-    """Degree-n coefficient of the compositional inverse via Lagrange inversion:
-    n [z^n] f^{(-1)} = [z^{n-1}] (z / f(z))^n.
-
-    Independent of the triangular solve; used as a cross-check.
-    """
-    if n < 1 or n > f.order:
-        raise OrderMismatch(f"need 1 <= n <= {f.order}")
-    base = RationalSeries(f.coeffs[1:] + (Fraction(0),)).reciprocal()
-    power = RationalSeries.constant(1, f.order)
-    for _ in range(n):
-        power = power * base
-    return power.coeffs[n - 1] / n

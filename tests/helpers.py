@@ -6,11 +6,15 @@ literal implementations used to cross-check the fast library code.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from noncross.partitions import NCPartition, enumerate_nc
+from noncross.errors import FormatError
+from noncross.freeprob import MomentSequence, _nc_profiles, _product_over, moment_series
+from noncross.partitions import NCPartition, catalan, enumerate_nc
+from noncross.series import RationalSeries
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -91,3 +95,141 @@ def random_fractions(rng, count: int, *, first_nonzero: bool = False) -> list[Fr
                 num = rng.randrange(-6, 7)
         out.append(Fraction(num, rng.randrange(1, 5)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the transform engine.  The library solves
+# M(z) = 1 + sum_s k_s z^s M(z)^s degree by degree; these take independent
+# routes: sums over the block-size profiles of NC(n), Mobius values, the
+# O(n^4) triangular series inverse and the defining transform formulas.
+
+
+def lattice_moments(kappa) -> tuple[Fraction, ...]:
+    """m_n = sum over NC(n) of the product of k_{|B|}, from the profile table."""
+    values = tuple(kappa)
+    return tuple(
+        sum((mult * _product_over(sizes, values) for sizes, _c, mult in _nc_profiles(n)), Fraction(0))
+        for n in range(1, len(values) + 1)
+    )
+
+
+def _mobius_to_top(csizes: tuple[int, ...]) -> int:
+    """mu(q, full block) given the block sizes of the complement of q."""
+    out = 1
+    for s in csizes:
+        out *= (-1) ** (s - 1) * catalan(s - 1)
+    return out
+
+
+def mobius_cumulants(moments) -> tuple[Fraction, ...]:
+    """k_n = sum over q in NC(n) of (product of m_{|B|}) mu(q, top)."""
+    values = tuple(moments)
+    return tuple(
+        sum(
+            (mult * _product_over(sizes, values) * _mobius_to_top(csizes) for sizes, csizes, mult in _nc_profiles(n)),
+            Fraction(0),
+        )
+        for n in range(1, len(values) + 1)
+    )
+
+
+def triangular_cumulants(moments) -> tuple[Fraction, ...]:
+    """Peel the one-block partition out of the moment sum and solve upward."""
+    values = tuple(moments)
+    kappa: list[Fraction] = []
+    for n in range(1, len(values) + 1):
+        padded = tuple(kappa) + (Fraction(0),) * n
+        rest = sum(
+            (mult * _product_over(sizes, padded) for sizes, _c, mult in _nc_profiles(n) if sizes != (n,)),
+            Fraction(0),
+        )
+        kappa.append(values[n - 1] - rest)
+    return tuple(kappa)
+
+
+def lattice_clt_parts(kappa, n: int, N: int) -> tuple[Fraction, Fraction]:
+    """Moment n of the rescaled free sum (a_1 + ... + a_N)/sqrt(N), split as
+    whole + half * sqrt(N): a partition with b blocks carries N^(b - n/2)."""
+    values = tuple(kappa)
+    whole = half = Fraction(0)
+    for sizes, _csizes, mult in _nc_profiles(n):
+        term = mult * _product_over(sizes, values)
+        e2 = 2 * len(sizes) - n  # twice the exponent of N
+        if e2 % 2 == 0:
+            whole += term * Fraction(N) ** (e2 // 2)
+        else:
+            half += term * Fraction(N) ** ((e2 - 1) // 2)
+    return whole, half
+
+
+def lattice_clt_moments(kappa, N: int) -> tuple[Fraction, ...] | None:
+    """The rescaled moments, or None where a sqrt(N) survives irrationally."""
+    root = math.isqrt(N)
+    out = []
+    for n in range(1, len(tuple(kappa)) + 1):
+        whole, half = lattice_clt_parts(kappa, n, N)
+        if half and root * root != N:
+            return None
+        out.append(whole + half * root)
+    return tuple(out)
+
+
+def lattice_clt_even_moments(kappa, N: int) -> tuple[Fraction, ...]:
+    out = []
+    for n in range(2, len(tuple(kappa)) + 1, 2):
+        whole, half = lattice_clt_parts(kappa, n, N)
+        assert half == 0, "even moments never carry sqrt(N)"
+        out.append(whole)
+    return tuple(out)
+
+
+def triangular_inverse(f: RationalSeries) -> RationalSeries:
+    """f^(-1) one coefficient at a time, by a full composition per degree."""
+    n = f.order
+    h = [Fraction(0)] * (n + 1)
+    h[1] = 1 / f[1]
+    for k in range(2, n + 1):
+        h[k] = -f.compose(RationalSeries(tuple(h)))[k] / f[1]
+    return RationalSeries(tuple(h))
+
+
+def lagrange_inverse_coefficient(f: RationalSeries, n: int) -> Fraction:
+    """Lagrange inversion: n [z^n] f^(-1) = [z^(n-1)] (z / f(z))^n."""
+    base = RationalSeries(f.coeffs[1:] + (Fraction(0),)).reciprocal()
+    power = RationalSeries.constant(1, f.order)
+    for _ in range(n):
+        power = power * base
+    return power[n - 1] / n
+
+
+def functional_r_transform(m: MomentSequence) -> RationalSeries:
+    """R from its defining equation R(z M(z) + z) = M(z)."""
+    M = moment_series(m)
+    u = M.shift_up() + RationalSeries.identity(M.order)
+    return M.compose(triangular_inverse(u))
+
+
+def s_transform_via_r(m: MomentSequence) -> RationalSeries:
+    """S(z) = R^(-1)(z) / z, the other defining formula."""
+    return triangular_inverse(functional_r_transform(m)).shift_down()
+
+
+def bessel_by_inversion(ell: int, order: int) -> tuple[Fraction, ...]:
+    """Free Bessel moments from the S-transform 1/(1+z)^ell: the
+    compositional inverse of z/(1+z)^(ell+1)."""
+    one_plus_z = RationalSeries.constant(1, order) + RationalSeries.identity(order)
+    denom = RationalSeries.constant(1, order)
+    for _ in range(ell + 1):
+        denom = denom * one_plus_z
+    minv = RationalSeries.identity(order) * denom.reciprocal()
+    return minv.compositional_inverse().coeffs[1:]
+
+
+def nc_pair_count(n: int) -> int:
+    """Number of non-crossing pair partitions of 1..n, by direct recursion
+    over the partner of the first point."""
+    if n < 0:
+        raise FormatError("n must be >= 0")
+    if n % 2:
+        return 0
+    return sum(nc_pair_count(inside) * nc_pair_count(n - 2 - inside) for inside in range(0, n - 1, 2)) if n else 1

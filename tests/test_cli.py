@@ -3,13 +3,18 @@ schema, exit codes map errors as documented, rationals stay exact, and the
 CSV renderings carry an exact column next to the decimal one."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from noncross import cli
+from noncross.partitions import SERIES_ORDER_CAP
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -93,6 +98,25 @@ def test_bad_input_exits_2(argv):
     assert cli.run(argv).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nc", "mobius", "--m", "0"],
+        ["topo", "euler", "--m", "0"],
+        ["topo", "chains", "--m", "0"],
+        ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "0"],
+        ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "-2"],
+        ["rmt", "verify", "--threads", "-3"],
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_edge_input_exits_2_with_a_message(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.strip() and "Traceback" not in err
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.run(["nc", "bogus"]).exit_code == 2
     assert cli.run([]).exit_code == 2
@@ -110,6 +134,23 @@ def test_resource_caps_exit_3(monkeypatch):
         ).exit_code
         == 3
     )
+
+
+def test_series_order_over_the_cap_exits_3():
+    over = ",".join(["1"] * (SERIES_ORDER_CAP + 1))
+    assert cli.run(["free", "m2c", "--moments", over]).exit_code == 3
+    assert cli.run(["free", "mult", "--a", over, "--b", over]).exit_code == 3
+    order = str(SERIES_ORDER_CAP + 1)
+    assert cli.run(["free", "law", "--name", "free-bessel", "--ell", "2", "--order", order]).exit_code == 3
+    at_cap = ",".join(["1"] * SERIES_ORDER_CAP)
+    assert cli.run(["free", "m2c", "--moments", at_cap]).exit_code == 0
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, noncross.cli; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_help_exits_0(capsys):

@@ -1,8 +1,10 @@
 """Moment/cumulant calculus over the rationals.
 
 Oracles: a literal sum over enumerated non-crossing partitions for the
-moment formula, the closed binomial form for the Fuss-Catalan numbers, the
-direct pair-partition count for semicircle moments, and S-transform
+moment formula, the lattice routes in ``helpers`` (profile sums, Mobius
+values, the whole/half split of the CLT moments), the defining R- and
+S-transform formulas, series inversion for the free Bessel laws, the direct
+pair-partition count for semicircle moments, and S-transform
 multiplicativity for the product laws."""
 
 import random
@@ -13,7 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nc_all, random_fractions
+from helpers import (
+    bessel_by_inversion,
+    functional_r_transform,
+    lattice_clt_even_moments,
+    lattice_clt_moments,
+    lattice_moments,
+    mobius_cumulants,
+    nc_all,
+    nc_pair_count,
+    random_fractions,
+    s_transform_via_r,
+    triangular_cumulants,
+)
 from noncross import freeprob as F
 from noncross.errors import (
     FormatError,
@@ -23,7 +37,7 @@ from noncross.errors import (
     VanishingFirstMoment,
 )
 from noncross.freeprob import CumulantSequence, MomentSequence
-from noncross.partitions import catalan
+from noncross.partitions import SERIES_ORDER_CAP, catalan
 
 small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -74,7 +88,7 @@ def test_transforms_are_mutually_inverse_on_random_sequences():
 def test_semicircle_moments_and_cumulants():
     m = F.semicircle_moments(10)
     assert list(m) == [0, 1, 0, 2, 0, 5, 0, 14, 0, 42]
-    assert [F.nc_pair_count(n) for n in range(1, 11)] == list(m)
+    assert [nc_pair_count(n) for n in range(1, 11)] == list(m)
     kappa = F.moments_to_cumulants(m)
     assert list(kappa) == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
@@ -90,6 +104,11 @@ def test_free_bessel_matches_binomial_closed_form(ell):
     m = F.free_bessel_moments(ell, 7)
     expected = [comb((ell + 1) * n, n - 1) // n for n in range(1, 8)]
     assert list(m) == expected
+
+
+@pytest.mark.parametrize("ell", range(0, 4))
+def test_free_bessel_closed_form_matches_series_inversion(ell):
+    assert F.free_bessel_moments(ell, 30).values == bessel_by_inversion(ell, 30)
 
 
 def test_free_bessel_degenerate_and_poisson_cases():
@@ -147,12 +166,20 @@ def test_r_transform_lists_the_cumulants():
     rng = random.Random(3)
     m = MomentSequence.of(random_fractions(rng, 6))
     assert F.r_transform(m).coeffs[1:] == F.moments_to_cumulants(m).values
+    assert F.r_transform(m).coeffs == functional_r_transform(m).coeffs
 
 
 def test_s_transform_of_free_poisson_is_geometric():
     m = F.free_poisson_moments(7)
     s = F.s_transform(m)
     assert s.coeffs == (1, -1, 1, -1, 1, -1, 1)[: s.order + 1]
+
+
+def test_s_transform_formulas_agree():
+    rng = random.Random(13)
+    for _ in range(10):
+        m = MomentSequence.of(random_fractions(rng, 7, first_nonzero=True))
+        assert F.s_transform(m).coeffs == s_transform_via_r(m).coeffs
 
 
 def test_s_transform_needs_a_nonzero_mean():
@@ -191,20 +218,68 @@ def test_clt_even_moments_are_rational_for_any_summand_count():
 
 
 def test_pair_count_vanishes_at_odd_orders():
-    assert [F.nc_pair_count(n) for n in range(0, 7)] == [1, 0, 1, 0, 2, 0, 5]
+    assert [nc_pair_count(n) for n in range(0, 7)] == [1, 0, 1, 0, 2, 0, 5]
     with pytest.raises(FormatError):
-        F.nc_pair_count(-1)
+        nc_pair_count(-1)
 
 
-def test_transform_order_is_capped_by_the_enumeration_cap(monkeypatch):
+def test_kreweras_route_is_capped_by_the_enumeration_cap(monkeypatch):
+    a = MomentSequence.of([1] * 7)
     monkeypatch.setenv("NONCROSS_CAP", "6")
     F._nc_profiles.cache_clear()
     try:
         with pytest.raises(ResourceCapExceeded):
-            F.cumulants_to_moments(CumulantSequence.of([1] * 7))
-        assert F.cumulants_to_moments(CumulantSequence.of([1] * 6)).order == 6
+            F.free_mult_convolve_kreweras(a, a)
+        six = MomentSequence.of([1] * 6)
+        assert F.free_mult_convolve_kreweras(six, six).order == 6
+        # The transforms themselves enumerate nothing.
+        assert F.free_mult_convolve_stransform(a, a).order == 7
+        assert F.cumulants_to_moments(CumulantSequence.of([1] * 13)).order == 13
     finally:
         F._nc_profiles.cache_clear()
+
+
+def test_series_order_is_capped():
+    over = [1] * (SERIES_ORDER_CAP + 1)
+    for call in (
+        lambda: F.moments_to_cumulants(MomentSequence.of(over)),
+        lambda: F.cumulants_to_moments(CumulantSequence.of(over)),
+        lambda: F.s_transform(MomentSequence.of(over)),
+        lambda: F.clt_even_moments(CumulantSequence.of(over), 3),
+        lambda: F.semicircle_moments(SERIES_ORDER_CAP + 1),
+        lambda: F.free_bessel_moments(2, SERIES_ORDER_CAP + 1),
+    ):
+        with pytest.raises(ResourceCapExceeded):
+            call()
+    at_cap = F.free_bessel_moments(1, SERIES_ORDER_CAP)
+    assert F.moments_to_cumulants(at_cap).values == (1,) * SERIES_ORDER_CAP
+
+
+def test_law_order_must_be_positive():
+    for order in (0, -2):
+        with pytest.raises(FormatError):
+            F.free_bessel_moments(2, order)
+        with pytest.raises(FormatError):
+            F.semicircle_moments(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(small_fraction, min_size=1, max_size=8),
+    st.integers(1, 30) | st.integers(1, 6).map(lambda r: r * r),
+)
+def test_transforms_match_the_lattice_oracles(values, n_summands):
+    m = MomentSequence.of(values)
+    kappa = CumulantSequence.of(values)
+    assert F.moments_to_cumulants(m).values == mobius_cumulants(values) == triangular_cumulants(values)
+    assert F.cumulants_to_moments(kappa).values == lattice_moments(values)
+    assert F.clt_even_moments(kappa, n_summands) == lattice_clt_even_moments(values, n_summands)
+    expected = lattice_clt_moments(values, n_summands)
+    if expected is None:
+        with pytest.raises(IrrationalResult):
+            F.clt_moments(kappa, n_summands)
+    else:
+        assert F.clt_moments(kappa, n_summands).values == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -88,6 +88,19 @@ def test_enumeration_count_is_catalan(m):
     assert len(nc_all(m)) == CATALAN[m]
 
 
+@pytest.mark.parametrize("m", range(0, 10))
+def test_enumerated_partitions_are_valid_without_the_constructor_check(m):
+    # iter_nc and nc_ideal skip the crossing check of NCPartition; re-run it.
+    parts = list(P.iter_nc(m))
+    assert len(parts) == len(set(parts)) == CATALAN[m]
+    for p in parts:
+        assert sorted(x for b in p.blocks for x in b) == list(range(1, m + 1))
+        assert P.is_noncrossing(p.underlying)
+        assert p == NCPartition.of(m, p.blocks)
+    top = NCPartition.top(m) if m else NCPartition.bottom(0)
+    assert set(P.nc_ideal(top)) == set(parts)
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_enumeration_is_lexicographic_and_complete(m):
     got = [p.blocks for p in nc_all(m)]

@@ -1,6 +1,6 @@
 """Truncated rational power series: ring laws, reciprocal, composition,
-compositional inverse (triangular solve checked against Lagrange inversion),
-and the fraction parsing helpers."""
+compositional inverse (checked against the triangular solve and Lagrange
+inversion in ``helpers``), and the fraction parsing helpers."""
 
 import random
 from fractions import Fraction
@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_fractions
+from helpers import lagrange_inverse_coefficient, random_fractions, triangular_inverse
 from noncross.errors import FormatError, OrderMismatch, VanishingFirstMoment
 from noncross.partitions import catalan
 from noncross.series import (
     RationalSeries,
     format_fraction,
-    lagrange_inverse_coefficient,
     parse_fraction,
     parse_rationals,
-    series_compositional_inverse,
 )
 
 small_fraction = st.fractions(
@@ -143,6 +141,9 @@ def test_lagrange_inversion_agrees_with_triangular_solve():
     for _ in range(25):
         coeffs = [Fraction(0)] + random_fractions(rng, 6, first_nonzero=True)
         f = RationalSeries.of(coeffs)
-        g = series_compositional_inverse(f)
+        g = f.compositional_inverse()
+        assert g.coeffs == triangular_inverse(f).coeffs
         for n in range(1, 7):
             assert lagrange_inverse_coefficient(f, n) == g[n]
+    f = RationalSeries.of([0] + random_fractions(rng, 14, first_nonzero=True))
+    assert f.compositional_inverse().coeffs == triangular_inverse(f).coeffs
