@@ -73,7 +73,6 @@ from .freeprob import (
 from .series import RationalSeries
 from .coxeter import (
     CoxeterContext,
-    GroupElement,
     ReflectionFactorization,
     absolute_length,
     abs_le,
@@ -140,7 +139,6 @@ __all__ = [
     "semicircle_moments",
     "RationalSeries",
     "CoxeterContext",
-    "GroupElement",
     "ReflectionFactorization",
     "absolute_length",
     "abs_le",

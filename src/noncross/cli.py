@@ -25,10 +25,9 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import complexes, coxeter, freeprob, partitions, randmat
-from .errors import FormatError, InputError, NoncrossError, ResourceCapExceeded
+from .errors import FormatError, NoncrossError, ResourceCapExceeded
 from .freeprob import CumulantSequence, MomentSequence
 from .partitions import NCPartition
 
@@ -68,6 +67,13 @@ def _element(ctx: coxeter.CoxeterContext, args: argparse.Namespace) -> tuple[int
     if getattr(args, "element", None) is None:
         return ctx.coxeter_element
     return ctx.check_element(_window(args.element))
+
+
+def _coxeter_element(ctx: coxeter.CoxeterContext, args: argparse.Namespace) -> tuple[int, ...]:
+    c = _element(ctx, args)
+    if not coxeter.is_coxeter_element(ctx, c):
+        raise FormatError(f"{list(c)} is not a Coxeter element of {ctx.family}_{ctx.rank}")
+    return c
 
 
 def _pq(args: argparse.Namespace) -> tuple[NCPartition, NCPartition]:
@@ -111,49 +117,26 @@ def _nc_list(args) -> dict:
     return {"kind": "nc_list", "m": args.m, "count": len(items), "partitions": items}
 
 
-def _nc_kreweras(args) -> dict:
-    p = _partition(args.p)
-    return {
+_NC_OPS = {
+    "kreweras": lambda args, p: partitions.kreweras(p),
+    "rotate": lambda args, p: partitions.rotate(p, args.k),
+    "meet": lambda args, p, q: partitions.meet_nc(p, q),
+    "join": lambda args, p, q: partitions.join_nc(p, q),
+}
+
+
+def _nc_op(args) -> dict:
+    operands = [_partition(text) for text in (args.p, getattr(args, "q", None)) if text is not None]
+    out = {
         "kind": "partition_op",
-        "op": "kreweras",
-        "operands": [str(p)],
-        "m": p.m,
-        "result": str(partitions.kreweras(p)),
+        "op": args.command,
+        "operands": [str(p) for p in operands],
+        "m": operands[0].m,
     }
-
-
-def _nc_rotate(args) -> dict:
-    p = _partition(args.p)
-    return {
-        "kind": "partition_op",
-        "op": "rotate",
-        "operands": [str(p)],
-        "m": p.m,
-        "shift": args.k,
-        "result": str(partitions.rotate(p, args.k)),
-    }
-
-
-def _nc_meet(args) -> dict:
-    p, q = _partition(args.p), _partition(args.q)
-    return {
-        "kind": "partition_op",
-        "op": "meet",
-        "operands": [str(p), str(q)],
-        "m": p.m,
-        "result": str(partitions.meet_nc(p, q)),
-    }
-
-
-def _nc_join(args) -> dict:
-    p, q = _partition(args.p), _partition(args.q)
-    return {
-        "kind": "partition_op",
-        "op": "join",
-        "operands": [str(p), str(q)],
-        "m": p.m,
-        "result": str(partitions.join_nc(p, q)),
-    }
+    if args.command == "rotate":
+        out["shift"] = args.k
+    out["result"] = str(_NC_OPS[args.command](args, *operands))
+    return out
 
 
 def _nc_mobius(args) -> dict:
@@ -236,7 +219,7 @@ def _free_clt(args) -> dict:
 
 def _cox_ncset(args) -> dict:
     ctx = _context(args)
-    c = _element(ctx, args)
+    c = _coxeter_element(ctx, args)
     elems = coxeter.nc_set(ctx, c)
     return {
         "kind": "cox_ncset",
@@ -252,7 +235,7 @@ def _cox_ncset(args) -> dict:
 
 def _cox_nccount(args) -> dict:
     ctx = _context(args)
-    c = _element(ctx, args)
+    c = _coxeter_element(ctx, args)
     count = len(coxeter.nc_set(ctx, c))
     out = {
         "kind": "cox_nccount",
@@ -318,21 +301,20 @@ def _cox_quasicox(args) -> dict:
 
 def _cox_dualrel(args) -> dict:
     ctx = _context(args)
-    c = _element(ctx, args)
+    c = _coxeter_element(ctx, args)
     report = coxeter.dual_braid_relation_check(ctx, c)
-    relations = coxeter.dual_braid_relations(ctx, c)
     return {
         "kind": "cox_dualrel",
         "family": ctx.family,
         "rank": ctx.rank,
         "coxeter_element": list(c),
-        "relations": report["relations"],
+        "relations": len(report["relations"]),
         "factorizations": report["factorizations"],
         "orbits": report["orbits"],
         "moves_covered": report["moves_covered"],
         "items": [
             [ctx.name_of[s], ctx.name_of[t], ctx.name_of[tp]]
-            for s, t, tp in relations
+            for s, t, tp in report["relations"]
         ],
     }
 
@@ -343,7 +325,7 @@ def _cox_dualrel(args) -> dict:
 
 def _topo_euler(args) -> dict:
     p, q = _pq(args)
-    k = complexes.order_complex_open_interval(p, q, with_simplices=False)
+    k = complexes.order_complex_open_interval(p, q)
     euler = complexes.reduced_euler_characteristic(k)
     mob = partitions.mobius_nc(p, q)
     return {
@@ -442,19 +424,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_nc_list)
     sub = nc.add_parser("kreweras", help="Kreweras complement")
     sub.add_argument("--p", required=True)
-    sub.set_defaults(handler=_nc_kreweras)
+    sub.set_defaults(handler=_nc_op)
     sub = nc.add_parser("rotate", help="cyclic relabeling i -> i+k")
     sub.add_argument("--p", required=True)
     sub.add_argument("--k", type=int, default=1)
-    sub.set_defaults(handler=_nc_rotate)
+    sub.set_defaults(handler=_nc_op)
     sub = nc.add_parser("meet", help="greatest lower bound")
     sub.add_argument("--p", required=True)
     sub.add_argument("--q", required=True)
-    sub.set_defaults(handler=_nc_meet)
+    sub.set_defaults(handler=_nc_op)
     sub = nc.add_parser("join", help="least upper bound (crossing closure)")
     sub.add_argument("--p", required=True)
     sub.add_argument("--q", required=True)
-    sub.set_defaults(handler=_nc_join)
+    sub.set_defaults(handler=_nc_op)
     sub = nc.add_parser("mobius", help="Mobius value: recursion and closed form")
     sub.add_argument("--p")
     sub.add_argument("--q")
@@ -492,13 +474,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cox = group_of("cox", "dual Coxeter systems")
 
-    def cox_common(sub: argparse.ArgumentParser, with_element: bool = True) -> None:
+    def cox_common(sub: argparse.ArgumentParser, factorizations: bool = False) -> None:
         sub.add_argument("--family", choices=("A", "B", "D"), required=True)
         sub.add_argument("--rank", type=int, required=True)
         sub.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
-        if with_element:
+        sub.add_argument(
+            "--element", help="JSON window, e.g. [2,-1,3]; default Coxeter element"
+        )
+        if factorizations:
             sub.add_argument(
-                "--element", help="JSON window, e.g. [2,-1,3]; default Coxeter element"
+                "--length-cap", dest="length_cap", type=int,
+                default=coxeter.DEFAULT_FACTORIZATION_LENGTH_CAP,
+            )
+            sub.add_argument(
+                "--fact-rank-cap", dest="rank_cap_fact", type=int,
+                default=coxeter.DEFAULT_FACTORIZATION_RANK_CAP,
             )
 
     sub = cox.add_parser("ncset", help="the absolute-order ideal below c")
@@ -509,14 +499,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lattice", action="store_true")
     sub.set_defaults(handler=_cox_nccount)
     sub = cox.add_parser("redt", help="reduced reflection factorizations")
-    cox_common(sub)
-    sub.add_argument("--length-cap", dest="length_cap", type=int, default=5)
-    sub.add_argument("--fact-rank-cap", dest="rank_cap_fact", type=int, default=4)
+    cox_common(sub, factorizations=True)
     sub.set_defaults(handler=_cox_redt)
     sub = cox.add_parser("hurwitz", help="braid-move orbits on factorizations")
-    cox_common(sub)
-    sub.add_argument("--length-cap", dest="length_cap", type=int, default=5)
-    sub.add_argument("--fact-rank-cap", dest="rank_cap_fact", type=int, default=4)
+    cox_common(sub, factorizations=True)
     sub.set_defaults(handler=_cox_hurwitz)
     sub = cox.add_parser("quasicox", help="quasi-Coxeter / parabolic tests")
     cox_common(sub)
@@ -602,8 +588,6 @@ def run(argv: list[str] | None = None) -> CommandResult:
         return CommandResult(0, payload, args.format)
     except ResourceCapExceeded as exc:
         return CommandResult(3, {"error": str(exc)}, args.format)
-    except InputError as exc:
-        return CommandResult(2, {"error": str(exc)}, args.format)
     except NoncrossError as exc:
         return CommandResult(2, {"error": str(exc)}, args.format)
 

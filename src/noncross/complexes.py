@@ -7,40 +7,41 @@ characteristic of the order complex of its open part, where reduced means
 the empty simplex is counted (f_{-1} = 1), so the empty complex carries -1
 and a single point carries 0.
 
-Chain statistics over the full lattice certify gradedness the honest way:
-covers are found by checking for intermediate elements, not by trusting the
-rank function, and the maximal-chain length census falls out of a path count
-over the cover relation.
+Chain statistics over the full lattice come from the cover relation, which
+is structural: a cover of p merges two of its blocks, and it lies in NC(m)
+exactly when the merged partition is non-crossing, i.e. found in an index of
+the enumerated lattice.  The maximal-chain length census falls out of a path
+count over the covers; gradedness, the rank steps and the reach of every
+element are read off the same paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .errors import FormatError, NotComparable
 from .partitions import (
     NCPartition,
+    _ideal_blocklists,
     enumerate_nc,
     interval,
     rank,
-    refine_le,
 )
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """An abstract simplicial complex over labeled vertices.
+    """An abstract simplicial complex over labeled vertices, by its f-vector.
 
-    ``simplices`` lists every chain as a tuple of vertex indices (ascending);
-    it may be None when only the f-vector was requested.  ``f_vector[d]``
-    counts d-dimensional simplices (d+1 vertices); the empty simplex is not
-    stored but always counted by the reduced Euler characteristic.
+    ``f_vector[d]`` counts d-dimensional simplices (d+1 vertices); the empty
+    simplex is not stored but always counted by the reduced Euler
+    characteristic.
     """
 
     vertices: tuple[str, ...]
     f_vector: tuple[int, ...]
-    simplices: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def dimension(self) -> int:
@@ -55,92 +56,66 @@ def reduced_euler_characteristic(k: SimplicialComplex) -> int:
     return total
 
 
-def _chain_scan(
-    n: int,
-    lt: Callable[[int, int], bool],
-    keep: bool,
-) -> tuple[list[int], list[tuple[int, ...]] | None]:
-    """Count (and optionally collect) all chains of a strict order on 0..n-1.
+def _chain_scan(above: list[list[int]]) -> list[int]:
+    """The f-vector of the chains of a strict order on 0..n-1, given the
+    elements above each one.
 
-    Every chain is visited exactly once through its increasing enumeration,
-    extending the f-vector on the fly.
+    Every chain is visited exactly once through its increasing enumeration.
     """
-    above = [[j for j in range(n) if lt(i, j)] for i in range(n)]
     f: list[int] = []
-    out: list[tuple[int, ...]] | None = [] if keep else None
-    chain: list[int] = []
 
-    def walk(i: int) -> None:
-        chain.append(i)
-        depth = len(chain) - 1
+    def walk(i: int, depth: int) -> None:
         if depth == len(f):
             f.append(0)
         f[depth] += 1
-        if out is not None:
-            out.append(tuple(chain))
         for j in above[i]:
-            walk(j)
-        chain.pop()
+            walk(j, depth + 1)
 
-    for i in range(n):
-        walk(i)
-    return f, out
+    for i in range(len(above)):
+        walk(i, 0)
+    return f
 
 
-def order_complex_open_interval(
-    p: NCPartition, q: NCPartition, with_simplices: bool = True
-) -> SimplicialComplex:
-    """The order complex of {w : p < w < q}.
+def order_complex_open_interval(p: NCPartition, q: NCPartition) -> SimplicialComplex:
+    """The order complex of {w : p < w < q}, by its f-vector.
 
-    With ``with_simplices=False`` only the f-vector is accumulated during the
-    chain scan, which is all the Euler characteristic needs.
+    The elements below each w come from its ideal, generated blockwise, so
+    no pairwise comparison over the interval is needed.
     """
     if p == q:
         raise NotComparable("open interval needs p strictly below q")
     elems = interval(p, q)[1:-1]
-    n = len(elems)
-    le_matrix = [
-        [i != j and refine_le(elems[i], elems[j]) for j in range(n)] for i in range(n)
-    ]
-    f, simplices = _chain_scan(n, lambda i, j: le_matrix[i][j], keep=with_simplices)
+    index = {w.blocks: i for i, w in enumerate(elems)}
+    above: list[list[int]] = [[] for _ in elems]
+    for j, w in enumerate(elems):
+        for v in _ideal_blocklists(w):
+            i = index.get(v)
+            if i is not None and i != j:
+                above[i].append(j)
     return SimplicialComplex(
         vertices=tuple(str(w) for w in elems),
-        f_vector=tuple(f),
-        simplices=tuple(simplices) if simplices is not None else None,
+        f_vector=tuple(_chain_scan(above)),
     )
-
-
-def export_text(k: SimplicialComplex) -> str:
-    """Plain-text form: one ``v <index> <label>`` line per vertex, then one
-    ``s <i1> <i2> ...`` line per simplex."""
-    if k.simplices is None:
-        raise NotComparable("complex was built without simplices")
-    lines = [f"v {i} {label}" for i, label in enumerate(k.vertices)]
-    lines += ["s " + " ".join(map(str, s)) for s in k.simplices]
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Whole-lattice statistics.
 
 
-def _le_matrix(elems: Sequence[NCPartition]) -> list[list[bool]]:
-    return [[refine_le(u, v) for v in elems] for u in elems]
-
-
-def _cover_matrix(elems: Sequence[NCPartition], le: list[list[bool]]) -> list[list[int]]:
-    """covers[i] = indices j with elems[j] covering elems[i] (no intermediate)."""
-    n = len(elems)
-    covers: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or not le[i][j]:
-                continue
-            if any(
-                k != i and k != j and le[i][k] and le[k][j] for k in range(n)
-            ):
-                continue
-            covers[i].append(j)
+def _merge_covers(elems: Sequence[NCPartition]) -> list[list[int]]:
+    """covers[i] = indices j with elems[j] covering elems[i]: every merge of
+    two blocks of elems[i] that is non-crossing, looked up by its blocks."""
+    index = {p.blocks: i for i, p in enumerate(elems)}
+    covers: list[list[int]] = []
+    for p in elems:
+        b = p.blocks
+        up = []
+        for i, j in combinations(range(len(b)), 2):
+            merged = b[:i] + b[i + 1 : j] + b[j + 1 :] + (tuple(sorted(b[i] + b[j])),)
+            k = index.get(tuple(sorted(merged)))
+            if k is not None:
+                up.append(k)
+        covers.append(up)
     return covers
 
 
@@ -156,8 +131,7 @@ def chain_census(m: int) -> dict:
         raise FormatError("m must be >= 1")
     elems = enumerate_nc(m)
     n = len(elems)
-    le = _le_matrix(elems)
-    covers = _cover_matrix(elems, le)
+    covers = _merge_covers(elems)
     bottom = next(i for i in range(n) if elems[i].n_blocks == m)
     top = next(i for i in range(n) if elems[i].n_blocks == 1)
 
@@ -206,37 +180,3 @@ def chain_census(m: int) -> dict:
         "rank_steps_ok": rank_steps_ok,
         "all_elements_on_maximal_chains": all_on_chains,
     }
-
-
-def _mobius_table(n: int, le: list[list[bool]]) -> dict[tuple[int, int], int]:
-    """mu for every comparable pair, by the defining recursion."""
-    order = sorted(range(n), key=lambda i: sum(le[k][i] for k in range(n)))
-    table: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        table[(u, u)] = 1
-        for v in order:
-            if v == u or not le[u][v]:
-                continue
-            acc = 0
-            for w in range(n):
-                if w != v and le[u][w] and le[w][v]:
-                    acc += table[(u, w)]
-            table[(u, v)] = -acc
-    return table
-
-
-def mobius_order_reversal_check(m: int) -> bool:
-    """Verify mu(u, v) in NC(m) equals mu(v, u) in the reversed order, for all
-    comparable pairs (both computed by the bare recursion)."""
-    elems = enumerate_nc(m)
-    n = len(elems)
-    le = _le_matrix(elems)
-    ge = [[le[j][i] for j in range(n)] for i in range(n)]
-    fwd = _mobius_table(n, le)
-    rev = _mobius_table(n, ge)
-    return all(
-        fwd[(u, v)] == rev[(v, u)]
-        for u in range(n)
-        for v in range(n)
-        if le[u][v]
-    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from .errors import (
     FormatError,
@@ -57,25 +58,13 @@ def identity(n: int) -> Window:
     return tuple(range(1, n + 1))
 
 
-def apply_to_vector(w: Window, v: list[Fraction]) -> list[Fraction]:
-    """Push a coordinate vector through w: e_i goes to sign * e_{|w(i)|}."""
-    out = [Fraction(0)] * len(v)
-    for i, wi in enumerate(w):
-        out[abs(wi) - 1] = v[i] if wi > 0 else -v[i]
-    return out
-
-
-def _sign_changes(w: Window) -> int:
-    return sum(1 for x in w if x < 0)
-
-
 class CoxeterContext:
     """A reflection group of type A, B or D with everything precomputed.
 
     The context is immutable after construction: reflection set with roots,
     the full element list, the reflection-length table (breadth-first over
-    the T-Cayley graph), the default Coxeter element (product of the listed
-    simple reflections in order) and its conjugacy class.
+    the T-Cayley graph) and the default Coxeter element (product of the
+    listed simple reflections in order).
     """
 
     def __init__(self, family: str, rank: int, rank_cap: int | None = None):
@@ -99,7 +88,6 @@ class CoxeterContext:
         for s in self.simples:
             self.coxeter_element = mul(self.coxeter_element, s)
         self._build_length_table()
-        self.coxeter_class = self._conjugacy_class(self.coxeter_element)
 
     # -- construction ------------------------------------------------------
 
@@ -171,20 +159,6 @@ class CoxeterContext:
         self.length: dict[Window, int] = dist
         self.elements: tuple[Window, ...] = tuple(sorted(dist))
 
-    def _conjugacy_class(self, w: Window) -> frozenset[Window]:
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for t in self.reflections:
-                    y = mul(mul(t, x), t)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -221,30 +195,6 @@ def coroot(root: Vector) -> Vector:
     if norm == 1:
         return tuple(2 * x for x in root)
     raise FormatError(f"unexpected root norm {norm}")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element bound to its context."""
-
-    ctx: CoxeterContext
-    window: Window
-
-    def __post_init__(self) -> None:
-        self.ctx.check_element(self.window)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.ctx, mul(self.window, other.window))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.ctx, inv(self.window))
-
-    @property
-    def length(self) -> int:
-        return self.ctx.length[self.window]
-
-    def to_json(self) -> list[int]:
-        return list(self.window)
 
 
 @dataclass(frozen=True)
@@ -298,11 +248,7 @@ def red_t_factorizations(
     length_cap: int = DEFAULT_FACTORIZATION_LENGTH_CAP,
     rank_cap: int = DEFAULT_FACTORIZATION_RANK_CAP,
 ) -> list[ReflectionFactorization]:
-    """All reduced reflection factorizations of w, depth-first in reflection order.
-
-    Every prefix climbs the absolute order by one, so candidates at each step
-    are the reflections t with l_T(t w_rest) = l_T(w_rest) - 1.
-    """
+    """All reduced reflection factorizations of w, depth-first in reflection order."""
     w = ctx.check_element(w)
     if ctx.rank > rank_cap:
         raise ResourceCapExceeded(
@@ -313,22 +259,25 @@ def red_t_factorizations(
             f"factorization enumeration capped at length {length_cap}, "
             f"element has {ctx.length[w]}"
         )
-    out: list[ReflectionFactorization] = []
-    prefix: list[Window] = []
+    return [ReflectionFactorization(ctx, f) for f in _reduced_descent(ctx, w)]
 
-    def rec(rest: Window, remaining: int) -> None:
-        if remaining == 0:
-            out.append(ReflectionFactorization(ctx, tuple(prefix)))
-            return
-        for t in ctx.reflections:
-            tail = mul(t, rest)  # t^{-1} rest; reflections are involutions
-            if ctx.length[tail] == remaining - 1:
-                prefix.append(t)
-                rec(tail, remaining - 1)
-                prefix.pop()
 
-    rec(w, ctx.length[w])
-    return out
+def _reduced_descent(ctx: CoxeterContext, w: Window) -> Iterator[tuple[Window, ...]]:
+    """Reduced factorizations of w, depth-first in reflection order, cap-free.
+
+    Every prefix climbs the absolute order by one, so candidates at each step
+    are the reflections t with l_T(t w_rest) = l_T(w_rest) - 1.  Every such
+    step can be completed, so the first item is the greedy factorization.
+    """
+    remaining = ctx.length[w]
+    if remaining == 0:
+        yield ()
+        return
+    for t in ctx.reflections:
+        tail = mul(t, w)  # t^{-1} w; reflections are involutions
+        if ctx.length[tail] == remaining - 1:
+            for rest in _reduced_descent(ctx, tail):
+                yield (t, *rest)
 
 
 def hurwitz_act(
@@ -484,18 +433,39 @@ def lattice_basis_index(basis: list[Vector], candidates: list[Vector]) -> Fracti
 # Quasi-Coxeter and parabolic machinery.
 
 
+def _signed_cycle_type(w: Window) -> list[tuple[int, bool]]:
+    """Sorted (length, negative) over the cycles of i -> |w(i)|; a cycle is
+    negative when an odd number of its letters change sign."""
+    seen = [False] * len(w)
+    out = []
+    for start in range(len(w)):
+        length, negative, i = 0, False, start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            negative ^= w[i] < 0
+            i = abs(w[i]) - 1
+        if length:
+            out.append((length, negative))
+    return sorted(out)
+
+
 def is_coxeter_element(ctx: CoxeterContext, w: Window) -> bool:
     """Whether w is conjugate to the product of the simple reflections.
 
     For these families the diagram is a tree, so all products of all simples
     in any order land in one conjugacy class, as do the Coxeter elements of
-    every other simple system.
+    every other simple system.  The class is fixed by the signed cycle type:
+    one n-cycle in type A, one negative n-cycle in type B, and a negative
+    (n-1)-cycle beside a negative 1-cycle in type D.
     """
-    return ctx.check_element(w) in ctx.coxeter_class
-
-
-def factorization_roots(ctx: CoxeterContext, f: ReflectionFactorization) -> list[Vector]:
-    return [ctx.root_of[t] for t in f.factors]
+    n = ctx.n
+    expected = {
+        "A": [(n, False)],
+        "B": [(n, True)],
+        "D": [(1, True), (n - 1, True)],
+    }[ctx.family]
+    return _signed_cycle_type(ctx.check_element(w)) == expected
 
 
 def is_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
@@ -509,27 +479,12 @@ def is_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
     w = ctx.check_element(w)
     if ctx.length[w] != ctx.rank:
         return False
-    fact = _first_reduced_factorization(ctx, w)
-    roots = [ctx.root_of[t] for t in fact]
+    roots = [ctx.root_of[t] for t in next(_reduced_descent(ctx, w))]
     idx = lattice_basis_index(ctx.simple_roots, roots)
     if idx != 1:
         return False
     coidx = lattice_basis_index(ctx.simple_coroots, [coroot(r) for r in roots])
     return coidx == 1
-
-
-def _first_reduced_factorization(ctx: CoxeterContext, w: Window) -> tuple[Window, ...]:
-    """One reduced factorization (greedy over the reflection order), cap-free."""
-    factors: list[Window] = []
-    rest = w
-    while ctx.length[rest]:
-        for t in ctx.reflections:
-            tail = mul(t, rest)
-            if ctx.length[tail] == ctx.length[rest] - 1:
-                factors.append(t)
-                rest = tail
-                break
-    return tuple(factors)
 
 
 def generated_subgroup(ctx: CoxeterContext, gens: list[Window]) -> frozenset[Window]:
@@ -561,23 +516,24 @@ def fixed_space(ctx: CoxeterContext, w: Window) -> list[list[Fraction]]:
     return _kernel_basis(rows, n)
 
 
-def pointwise_stabilizer(ctx: CoxeterContext, vectors: list[list[Fraction]]) -> frozenset[Window]:
-    """All group elements fixing every given vector."""
-    out = []
-    for g in ctx.elements:
-        if all(apply_to_vector(g, v) == v for v in vectors):
-            out.append(g)
-    return frozenset(out)
-
-
 def is_parabolic_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
     """True when the reflections of a reduced factorization of w generate the
-    pointwise stabilizer of the fixed space of w (the parabolic closure)."""
+    pointwise stabilizer of the fixed space of w (the parabolic closure).
+
+    The closure is generated by the reflections it contains, those whose
+    root is orthogonal to Fix(w) (Steinberg), and it contains the
+    factorization's subgroup, so the two groups agree exactly when they hold
+    the same reflections.
+    """
     w = ctx.check_element(w)
-    fact = _first_reduced_factorization(ctx, w)
-    generated = generated_subgroup(ctx, list(fact))
-    stab = pointwise_stabilizer(ctx, fixed_space(ctx, w))
-    return generated == stab
+    generated = generated_subgroup(ctx, list(next(_reduced_descent(ctx, w))))
+    fixed = fixed_space(ctx, w)
+    closure = {
+        t
+        for t, root in ctx.root_of.items()
+        if all(sum(r * x for r, x in zip(root, v)) == 0 for v in fixed)
+    }
+    return generated.intersection(ctx.reflections) == closure
 
 
 def nc_lattice_check(ctx: CoxeterContext, c: Window | None = None) -> bool:
@@ -673,9 +629,9 @@ def dual_braid_relation_check(ctx: CoxeterContext, c: Window | None = None) -> d
     """Verify the dual braid relations at c and that every braid move on the
     reduced factorizations of c only ever rewrites by one of them.
 
-    Returns a report with the relation count, the factorization count, the
-    orbit count (1 means the braid moves connect everything) and whether all
-    moves stayed within the relation set.
+    Returns a report with the relations themselves, the factorization count,
+    the orbit count (1 means the braid moves connect everything) and whether
+    all moves stayed within the relation set.
     """
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
     relations = dual_braid_relations(ctx, c)
@@ -689,7 +645,7 @@ def dual_braid_relation_check(ctx: CoxeterContext, c: Window | None = None) -> d
                 if (a, b) not in rel_pairs:
                     moves_covered = False
     return {
-        "relations": len(relations),
+        "relations": relations,
         "factorizations": sum(len(o) for o in orbits),
         "orbits": len(orbits),
         "moves_covered": moves_covered,

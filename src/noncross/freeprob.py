@@ -27,81 +27,61 @@ from .errors import (
     ResourceCapExceeded,
     VanishingFirstMoment,
 )
-from .partitions import SERIES_ORDER_CAP, catalan, iter_nc, kreweras
+from .partitions import SERIES_ORDER_CAP, _check_cap, catalan, iter_nc, kreweras
 from .series import RationalSeries, Rat, _frac, _power_columns, parse_rationals
-
-def _parse_values(text: str) -> tuple[Fraction, ...]:
-    values = parse_rationals(text)
-    if not values:
-        raise FormatError("empty sequence")
-    return values
 
 
 @dataclass(frozen=True, slots=True)
-class MomentSequence:
-    """Moments m_1..m_N of a (formal) distribution, m_n at index n - 1."""
+class _Sequence:
+    """Values x_1..x_N of a moment or cumulant sequence, x_n at index n - 1."""
 
     values: tuple[Fraction, ...]
 
-    @staticmethod
-    def of(values: Iterable[Rat]) -> "MomentSequence":
-        return MomentSequence(tuple(_frac(v) for v in values))
+    @classmethod
+    def of(cls, values: Iterable[Rat]):
+        return cls(tuple(_frac(v) for v in values))
 
-    @staticmethod
-    def parse(text: str) -> "MomentSequence":
-        return MomentSequence(_parse_values(text))
+    @classmethod
+    def parse(cls, text: str):
+        return cls(parse_rationals(text))
 
     @property
     def order(self) -> int:
         return len(self.values)
+
+    def _at(self, n: int, name: str) -> Fraction:
+        if not 1 <= n <= self.order:
+            raise OrderMismatch(f"{name} {n} outside 1..{self.order}")
+        return self.values[n - 1]
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self.values)
+
+    def __str__(self) -> str:
+        return ", ".join(str(v) for v in self.values)
+
+    def to_json(self) -> dict:
+        return {"order": self.order, "values": [str(v) for v in self.values]}
+
+
+class MomentSequence(_Sequence):
+    """Moments m_1..m_N of a (formal) distribution, m_n at index n - 1."""
+
+    __slots__ = ()
 
     def moment(self, n: int) -> Fraction:
         """m_n for 1 <= n <= order."""
-        if not 1 <= n <= self.order:
-            raise OrderMismatch(f"moment {n} outside 1..{self.order}")
-        return self.values[n - 1]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __str__(self) -> str:
-        return ", ".join(str(v) for v in self.values)
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "values": [str(v) for v in self.values]}
+        return self._at(n, "moment")
 
 
-@dataclass(frozen=True, slots=True)
-class CumulantSequence:
+class CumulantSequence(_Sequence):
     """Free cumulants k_1..k_N, k_n at index n - 1."""
 
-    values: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values: Iterable[Rat]) -> "CumulantSequence":
-        return CumulantSequence(tuple(_frac(v) for v in values))
-
-    @staticmethod
-    def parse(text: str) -> "CumulantSequence":
-        return CumulantSequence(_parse_values(text))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
+    __slots__ = ()
 
     def cumulant(self, n: int) -> Fraction:
-        if not 1 <= n <= self.order:
-            raise OrderMismatch(f"cumulant {n} outside 1..{self.order}")
-        return self.values[n - 1]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __str__(self) -> str:
-        return ", ".join(str(v) for v in self.values)
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "values": [str(v) for v in self.values]}
+        """k_n for 1 <= n <= order."""
+        return self._at(n, "cumulant")
 
 
 Profile = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -193,10 +173,11 @@ def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentS
     k_n(ab) = sum over p in NC(n) of k_p(a) k_{complement(p)}(b).
 
     This is the lattice route: it enumerates NC(1..N), so the enumeration
-    cap bounds its order.
+    cap bounds its order, checked before the cached profile tables are read.
     """
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+    _check_cap(a.order, None)
     ka = moments_to_cumulants(a)
     kb = moments_to_cumulants(b)
     out = []

@@ -192,8 +192,8 @@ class NCPartition:
 
     @staticmethod
     def top(m: int) -> "NCPartition":
-        """The one-block partition."""
-        return NCPartition(SetPartition(m, (tuple(range(1, m + 1)),)))
+        """The one-block partition (no blocks when m = 0, like the bottom)."""
+        return NCPartition(SetPartition(m, (tuple(range(1, m + 1)),) if m else ()))
 
     @property
     def m(self) -> int:
@@ -445,7 +445,8 @@ def _build_blocklists(elems: tuple[int, ...]) -> Iterator[Blocks]:
 
 
 def _relabel(blocklist: Blocks, elems: tuple[int, ...]) -> Blocks:
-    return tuple(tuple(elems[j - 1] for j in b) for b in blocklist)
+    at = (0, *elems).__getitem__
+    return tuple([tuple(map(at, b)) for b in blocklist])
 
 
 @cache
@@ -479,24 +480,28 @@ def enumerate_nc(m: int, cap: int | None = None) -> list[NCPartition]:
     return list(iter_nc(m, cap))
 
 
-def nc_ideal(q: NCPartition) -> Iterator[NCPartition]:
-    """All refinements of q (its order ideal), via independent partitions per block."""
-    per_block = [
-        [_relabel(bl, B) for bl in _nc_blocklists(len(B))] if len(B) <= _CACHE_LIMIT
-        else [_relabel(bl, B) for bl in _build_blocklists(tuple(range(1, len(B) + 1)))]
-        for B in q.blocks
-    ]
+def _ideal_blocklists(q: NCPartition) -> Iterator[Blocks]:
+    """Block lists of all refinements of q: independent partitions per block."""
+    per_block = [list(_iter_blocklists(B)) for B in q.blocks]
     for combo in product(*per_block):
         out: list[tuple[int, ...]] = []
         for part in combo:
             out.extend(part)
-        yield _trusted(SetPartition(q.m, tuple(sorted(out))))
+        yield tuple(sorted(out))
+
+
+def nc_ideal(q: NCPartition) -> Iterator[NCPartition]:
+    """All refinements of q (its order ideal)."""
+    for blocks in _ideal_blocklists(q):
+        yield _trusted(SetPartition(q.m, blocks))
 
 
 def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
-    """All w with p <= w <= q, sorted by rank then block tuples."""
+    """All w with p <= w <= q, sorted by rank then block tuples; the
+    enumeration cap bounds m, as for :func:`iter_nc`."""
     if not refine_le(p, q):
         raise NotComparable(f"{p} is not a refinement of {q}")
+    _check_cap(q.m, None)
     elems = [w for w in nc_ideal(q) if refine_le(p, w)]
     elems.sort(key=lambda w: (rank(w), w.blocks))
     return elems
@@ -510,16 +515,10 @@ def mobius_nc(p: NCPartition, q: NCPartition) -> int:
     the ideal of w, generated blockwise, so no global comparability scan is
     needed.
     """
-    mu: dict[NCPartition, int] = {}
+    mu: dict[Blocks, int] = {}
     for w in interval(p, q):
         if w == p:
-            mu[w] = 1
+            mu[w.blocks] = 1
             continue
-        total = 0
-        for v in nc_ideal(w):
-            if v != w:
-                prev = mu.get(v)
-                if prev is not None:
-                    total += prev
-        mu[w] = -total
-    return mu[q]
+        mu[w.blocks] = -sum(mu.get(v, 0) for v in _ideal_blocklists(w) if v != w.blocks)
+    return mu[q.blocks]

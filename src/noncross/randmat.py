@@ -142,17 +142,3 @@ def estimate_moments(
         )
         for k in range(1, k_max + 1)
     ]
-
-
-def estimate_product_moment(spec: GinibreSpec, k: int, threads: int = 1) -> MomentEstimate:
-    """k-th moment estimate for a product of ell independent Ginibres."""
-    if spec.kind != "product":
-        raise FormatError("spec.kind must be 'product'")
-    return estimate_moments(spec, k, threads)[k - 1]
-
-
-def estimate_power_moment(spec: GinibreSpec, k: int, threads: int = 1) -> MomentEstimate:
-    """k-th moment estimate for the ell-th power of one Ginibre."""
-    if spec.kind != "power":
-        raise FormatError("spec.kind must be 'power'")
-    return estimate_moments(spec, k, threads)[k - 1]

@@ -30,11 +30,6 @@ def parse_fraction(text: str) -> Fraction:
         raise FormatError(f"cannot parse rational {text!r}") from None
 
 
-def format_fraction(x: Fraction) -> str:
-    """Render a fraction as "p/q" (or "p" when integral)."""
-    return str(x)
-
-
 @dataclass(frozen=True, slots=True)
 class RationalSeries:
     """Coefficients (c_0, ..., c_N) of a series truncated at order N."""
@@ -102,15 +97,6 @@ class RationalSeries:
         f = _frac(factor)
         return RationalSeries(tuple(f * a for a in self.coeffs))
 
-    def truncate(self, order: int) -> "RationalSeries":
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return RationalSeries(self.coeffs[: order + 1])
-
-    def shift_up(self) -> "RationalSeries":
-        """Multiply by z (same truncation order; top coefficient drops off)."""
-        return RationalSeries((Fraction(0),) + self.coeffs[:-1])
-
     def shift_down(self) -> "RationalSeries":
         """Divide by z; requires zero constant term.  Order drops by one."""
         if self.coeffs[0]:
@@ -131,17 +117,6 @@ class RationalSeries:
                 acc += self.coeffs[j] * out[k - j]
             out[k] = -inv0 * acc
         return RationalSeries(tuple(out))
-
-    def compose(self, inner: "RationalSeries") -> "RationalSeries":
-        """f(g) for g with zero constant term (Horner over truncated series)."""
-        self._match(inner)
-        if inner.coeffs[0]:
-            raise FormatError("composition needs inner constant term zero")
-        n = self.order
-        out = RationalSeries.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            out = out * inner + RationalSeries.constant(self.coeffs[k], n)
-        return out
 
     def compositional_inverse(self) -> "RationalSeries":
         """The series h with f(h(z)) = z, for f = c_1 z + ... with c_1 != 0.
@@ -166,12 +141,8 @@ class RationalSeries:
             h[k] = -acc / c[1]
         return RationalSeries(tuple(h))
 
-    def derivative(self) -> "RationalSeries":
-        """Termwise derivative (order drops by one)."""
-        return RationalSeries(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
     def __str__(self) -> str:
-        return "[" + ", ".join(format_fraction(c) for c in self.coeffs) + "]"
+        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
 def _power_columns(y: list[Fraction]) -> Iterator[list[Fraction]]:

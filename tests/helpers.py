@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from noncross.errors import FormatError
+from noncross.coxeter import fixed_space, generated_subgroup, mul
+from noncross.errors import FormatError, OrderMismatch
 from noncross.freeprob import MomentSequence, _nc_profiles, _product_over, moment_series
 from noncross.partitions import NCPartition, catalan, enumerate_nc
 from noncross.series import RationalSeries
@@ -183,13 +184,30 @@ def lattice_clt_even_moments(kappa, N: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def shift_up(f: RationalSeries) -> RationalSeries:
+    """Multiply by z (same truncation order; the top coefficient drops off)."""
+    return RationalSeries((Fraction(0),) + f.coeffs[:-1])
+
+
+def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
+    """f(g) for g with zero constant term (Horner over truncated series)."""
+    if f.order != g.order:
+        raise OrderMismatch(f"series orders differ: {f.order} vs {g.order}")
+    if g[0]:
+        raise FormatError("composition needs inner constant term zero")
+    out = RationalSeries.constant(f[f.order], f.order)
+    for k in range(f.order - 1, -1, -1):
+        out = out * g + RationalSeries.constant(f[k], f.order)
+    return out
+
+
 def triangular_inverse(f: RationalSeries) -> RationalSeries:
     """f^(-1) one coefficient at a time, by a full composition per degree."""
     n = f.order
     h = [Fraction(0)] * (n + 1)
     h[1] = 1 / f[1]
     for k in range(2, n + 1):
-        h[k] = -f.compose(RationalSeries(tuple(h)))[k] / f[1]
+        h[k] = -compose(f, RationalSeries(tuple(h)))[k] / f[1]
     return RationalSeries(tuple(h))
 
 
@@ -205,8 +223,8 @@ def lagrange_inverse_coefficient(f: RationalSeries, n: int) -> Fraction:
 def functional_r_transform(m: MomentSequence) -> RationalSeries:
     """R from its defining equation R(z M(z) + z) = M(z)."""
     M = moment_series(m)
-    u = M.shift_up() + RationalSeries.identity(M.order)
-    return M.compose(triangular_inverse(u))
+    u = shift_up(M) + RationalSeries.identity(M.order)
+    return compose(M, triangular_inverse(u))
 
 
 def s_transform_via_r(m: MomentSequence) -> RationalSeries:
@@ -233,3 +251,85 @@ def nc_pair_count(n: int) -> int:
     if n % 2:
         return 0
     return sum(nc_pair_count(inside) * nc_pair_count(n - 2 - inside) for inside in range(0, n - 1, 2)) if n else 1
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the order structure of NC(m): every comparable pair by
+# refinement, covers by ruling out intermediate elements, and Mobius values
+# by the defining recursion over that matrix.
+
+
+def le_matrix(elems) -> list[list[bool]]:
+    """le[i][j] = elems[i] refines elems[j]: each block of elems[i] meets
+    exactly one block of elems[j], so the points carry as many distinct
+    (block in i, block in j) pairs as elems[i] has blocks."""
+    owners = [v.underlying.index_map()[1:] for v in elems]
+    return [[len(set(zip(iu, iv))) == u.n_blocks for iv in owners] for u, iu in zip(elems, owners)]
+
+
+def scanned_covers(elems) -> list[list[int]]:
+    """covers[i] = indices j with elems[i] < elems[j] and nothing between."""
+    le = le_matrix(elems)
+    n = len(elems)
+    above = [{j for j in range(n) if le[i][j] and j != i} for i in range(n)]
+    below = [{i for i in range(n) if le[i][j] and i != j} for j in range(n)]
+    return [sorted(j for j in above[i] if not above[i] & below[j]) for i in range(n)]
+
+
+def mobius_table(le: list[list[bool]]) -> dict[tuple[int, int], int]:
+    """mu for every comparable pair of a finite poset given by its order matrix."""
+    n = len(le)
+    order = sorted(range(n), key=lambda i: sum(le[k][i] for k in range(n)))
+    table: dict[tuple[int, int], int] = {}
+    for u in range(n):
+        table[(u, u)] = 1
+        for v in order:
+            if v != u and le[u][v]:
+                table[(u, v)] = -sum(table[(u, w)] for w in range(n) if w != v and le[u][w] and le[w][v])
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the Coxeter layer: whole-group scans that the library replaces
+# by cycle types and root orthogonality.
+
+
+def apply_to_vector(w, v: list[Fraction]) -> list[Fraction]:
+    """Push a coordinate vector through w: e_i goes to sign * e_{|w(i)|}."""
+    out = [Fraction(0)] * len(v)
+    for i, wi in enumerate(w):
+        out[abs(wi) - 1] = v[i] if wi > 0 else -v[i]
+    return out
+
+
+def pointwise_stabilizer(ctx, vectors) -> frozenset:
+    """All group elements fixing every given vector, by scanning the group."""
+    return frozenset(g for g in ctx.elements if all(apply_to_vector(g, v) == v for v in vectors))
+
+
+def conjugacy_class(ctx, w) -> frozenset:
+    """The conjugacy class of w, by breadth-first search under reflections."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for t in ctx.reflections:
+                y = mul(mul(t, x), t)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def closure_is_generated(ctx, w) -> bool:
+    """The parabolic quasi-Coxeter property by its definition: a reduced
+    factorization (the greedy one) generates the whole pointwise stabilizer
+    of Fix(w)."""
+    factors, rest = [], w
+    while ctx.length[rest]:
+        t = next(t for t in ctx.reflections if ctx.length[mul(t, rest)] == ctx.length[rest] - 1)
+        factors.append(t)
+        rest = mul(t, rest)
+    return generated_subgroup(ctx, factors) == pointwise_stabilizer(ctx, fixed_space(ctx, w))

@@ -136,6 +136,31 @@ def test_resource_caps_exit_3(monkeypatch):
     )
 
 
+def test_interval_commands_are_bounded_by_the_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("NONCROSS_CAP", "4")
+    assert cli.run(["nc", "mobius", "--m", "7"]).exit_code == 3
+    assert cli.run(["topo", "euler", "--m", "7"]).exit_code == 3
+    assert cli.run(["nc", "mobius", "--m", "4"]).exit_code == 0
+    monkeypatch.delenv("NONCROSS_CAP")
+    assert cli.run(["nc", "mobius", "--m", "7"]).exit_code == 0
+    assert cli.run(["topo", "euler", "--p", "1|2|3|4|5|6|7|8|9|10", "--q", "1 2|3 4 5|6|7 8 9 10"]).exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["ncset", "nccount", "dualrel"])
+def test_a_non_coxeter_element_is_rejected_where_c_must_be_coxeter(command, capsys):
+    base = ["cox", command, "--family", "A", "--rank", "3"]
+    assert cli.run(base + ["--element", "[2,3,4,1]"]).exit_code == 0
+    assert cli.main(base + ["--element", "[2,1,3,4]"]) == 2
+    out, err = capsys.readouterr()
+    assert "not a Coxeter element" in err
+
+
+@pytest.mark.parametrize("command", ["redt", "hurwitz", "quasicox"])
+def test_any_element_is_accepted_where_w_is_arbitrary(command):
+    result = cli.run(["cox", command, "--family", "A", "--rank", "3", "--element", "[2,1,3,4]"])
+    assert result.exit_code == 0 and result.payload["element"] == [2, 1, 3, 4]
+
+
 def test_series_order_over_the_cap_exits_3():
     over = ",".join(["1"] * (SERIES_ORDER_CAP + 1))
     assert cli.run(["free", "m2c", "--moments", over]).exit_code == 3

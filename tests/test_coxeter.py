@@ -13,14 +13,14 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import nc_all
+from helpers import apply_to_vector, closure_is_generated, conjugacy_class, nc_all, pointwise_stabilizer
 from noncross import coxeter as C
 from noncross.errors import (
     FormatError,
     NotBelowCoxeterElement,
     ResourceCapExceeded,
 )
-from noncross.partitions import NCPartition, kreweras, rank, refine_le
+from noncross.partitions import kreweras, rank, refine_le
 
 
 @cache
@@ -56,7 +56,7 @@ def test_window_multiplication_applies_right_factor_first():
 def test_windows_act_on_vectors_with_signs():
     w = (-2, 1)  # 1 -> -2, 2 -> 1 in type B_2
     v = [Fraction(5), Fraction(7)]
-    out = C.apply_to_vector(w, v)
+    out = apply_to_vector(w, v)
     # coordinates move contravariantly: new coordinate at |w(i)| picks up v_i
     assert out == [Fraction(7), Fraction(-5)]
 
@@ -100,7 +100,7 @@ def test_every_reflection_acts_by_its_root(family, rk):
     for t in context.reflections:
         alpha = context.root_of[t]
         for e in basis:
-            assert C.apply_to_vector(t, e) == reflect(e, alpha)
+            assert apply_to_vector(t, e) == reflect(e, alpha)
         assert C.mul(t, t) == C.identity(n)
 
 
@@ -137,19 +137,6 @@ def test_check_element_rejects_foreign_windows():
     with pytest.raises(FormatError):
         d4.check_element((1, 2, 3, -4))  # odd number of sign flips
     assert d4.check_element((1, 2, -3, -4)) == (1, 2, -3, -4)
-
-
-def test_group_element_wrapper():
-    context = ctx("B", 2)
-    c = C.GroupElement(context, context.coxeter_element)
-    t = C.GroupElement(context, context.reflections[0])
-    assert (t * t).window == C.identity(2)
-    assert (c * c.inverse()).window == C.identity(2)
-    assert t.length == 1
-    assert c.length == 2
-    assert c.to_json() == list(context.coxeter_element)
-    with pytest.raises(FormatError):
-        C.GroupElement(context, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +327,24 @@ def test_proper_quasi_coxeter_example_in_detail():
     assert [len(o) for o in orbits] == [192]
 
 
+@pytest.mark.parametrize(
+    "family,rk",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)],
+)
+def test_cycle_type_test_matches_the_conjugacy_class(family, rk):
+    context = ctx(family, rk)
+    coxeter_class = conjugacy_class(context, context.coxeter_element)
+    for w in context.elements:
+        assert C.is_coxeter_element(context, w) == (w in coxeter_class), w
+
+
+@pytest.mark.parametrize("family,rk", [("A", 4), ("B", 3), ("D", 4)])
+def test_reflection_sets_decide_parabolic_quasi_coxeter_like_the_stabilizer(family, rk):
+    context = ctx(family, rk)
+    for w in context.elements:
+        assert C.is_parabolic_quasi_coxeter(context, w) == closure_is_generated(context, w), w
+
+
 def test_minus_identity_is_not_quasi_coxeter():
     context = ctx("D", 4)
     minus = (-1, -2, -3, -4)
@@ -369,7 +374,7 @@ def test_factorization_reflections_stay_in_the_parabolic_closure(family, rk):
     # pointwise stabilizer of the fixed space of w
     context = ctx(family, rk)
     for w in context.elements:
-        closure = C.pointwise_stabilizer(context, C.fixed_space(context, w))
+        closure = pointwise_stabilizer(context, C.fixed_space(context, w))
         for f in C.red_t_factorizations(context, w):
             assert set(f.factors) <= closure
 
@@ -385,7 +390,7 @@ def test_single_factorization_need_not_generate_the_closure():
     spans = [C.generated_subgroup(context, list(s)) for s in factor_sets]
     assert any(used - span for span in spans for used in factor_sets)
     # the closure itself always contains everything
-    closure = C.pointwise_stabilizer(context, C.fixed_space(context, minus))
+    closure = pointwise_stabilizer(context, C.fixed_space(context, minus))
     assert all(used <= closure for used in factor_sets)
 
 
@@ -470,13 +475,15 @@ def test_nc_set_of_type_a_is_the_partition_lattice_in_disguise():
 
 
 def test_dual_braid_relations_on_a2_are_the_three_rotations():
-    report = C.dual_braid_relation_check(ctx("A", 2))
+    context = ctx("A", 2)
+    report = C.dual_braid_relation_check(context)
     assert report == {
-        "relations": 3,
+        "relations": C.dual_braid_relations(context),
         "factorizations": 3,
         "orbits": 1,
         "moves_covered": True,
     }
+    assert len(report["relations"]) == 3
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3)])
@@ -485,7 +492,8 @@ def test_dual_braid_relations_cover_all_moves(family, rk):
     report = C.dual_braid_relation_check(context)
     assert report["orbits"] == 1
     assert report["moves_covered"]
-    for s, t, tp in C.dual_braid_relations(context):
+    assert report["relations"] == C.dual_braid_relations(context)
+    for s, t, tp in report["relations"]:
         assert C.mul(s, t) == C.mul(tp, s)
         assert tp in set(context.reflections)
         assert C.abs_le(context, C.mul(s, t), context.coxeter_element)

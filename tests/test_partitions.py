@@ -97,8 +97,13 @@ def test_enumerated_partitions_are_valid_without_the_constructor_check(m):
         assert sorted(x for b in p.blocks for x in b) == list(range(1, m + 1))
         assert P.is_noncrossing(p.underlying)
         assert p == NCPartition.of(m, p.blocks)
-    top = NCPartition.top(m) if m else NCPartition.bottom(0)
-    assert set(P.nc_ideal(top)) == set(parts)
+    assert set(P.nc_ideal(NCPartition.top(m))) == set(parts)
+
+
+def test_empty_ground_set_has_one_partition():
+    assert NCPartition.top(0) == NCPartition.bottom(0)
+    assert NCPartition.top(0).blocks == ()
+    assert P.mobius_nc(NCPartition.bottom(0), NCPartition.top(0)) == 1
 
 
 @pytest.mark.parametrize("m", range(1, 8))

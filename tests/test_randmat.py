@@ -22,6 +22,9 @@ def test_spec_validation():
         R.GinibreSpec(n=8, ell=0, kind="product", trials=5, seed=0)
     with pytest.raises(FormatError):
         R.GinibreSpec(n=8, ell=1, kind="product", trials=1, seed=0)
+    spec = R.GinibreSpec(n=16, ell=1, kind="product", trials=4, seed=1)
+    with pytest.raises(FormatError):
+        R.estimate_moments(spec, 0)
 
 
 def test_z_score_conventions():
@@ -96,17 +99,3 @@ def test_stderr_shrinks_with_more_trials():
         R.GinibreSpec(n=32, ell=1, kind="product", trials=40, seed=9), 2
     )
     assert big[1].stderr < small[1].stderr
-
-
-def test_single_moment_wrappers_enforce_the_kind():
-    spec = R.GinibreSpec(n=16, ell=1, kind="product", trials=4, seed=1)
-    est = R.estimate_product_moment(spec, 2)
-    assert est.k == 2 and est.target == 2
-    with pytest.raises(FormatError):
-        R.estimate_power_moment(spec, 2)
-    power_spec = R.GinibreSpec(n=16, ell=2, kind="power", trials=4, seed=1)
-    assert R.estimate_power_moment(power_spec, 1).target == 1
-    with pytest.raises(FormatError):
-        R.estimate_product_moment(power_spec, 1)
-    with pytest.raises(FormatError):
-        R.estimate_moments(spec, 0)

@@ -9,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lagrange_inverse_coefficient, random_fractions, triangular_inverse
+from helpers import (
+    compose,
+    lagrange_inverse_coefficient,
+    random_fractions,
+    shift_up,
+    triangular_inverse,
+)
 from noncross.errors import FormatError, OrderMismatch, VanishingFirstMoment
 from noncross.partitions import catalan
 from noncross.series import (
     RationalSeries,
-    format_fraction,
     parse_fraction,
     parse_rationals,
 )
@@ -34,8 +39,7 @@ def series_strategy(order: int, first_zero: bool = False):
 def test_parse_and_format_fractions():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("-7") == Fraction(-7)
-    assert format_fraction(Fraction(10, 4)) == "5/2"
-    assert format_fraction(Fraction(-3, 1)) == "-3"
+    assert str(RationalSeries.of([Fraction(10, 4), Fraction(-3, 1)])) == "[5/2, -3]"
     assert parse_rationals("1, -2/3 ,4") == (Fraction(1), Fraction(-2, 3), Fraction(4))
     for bad in ("", "1/0", "a/b"):
         with pytest.raises(FormatError):
@@ -69,8 +73,8 @@ def test_shift_by_z_semantics():
     # division by z drops the order; multiplication keeps it, losing the top
     f = RationalSeries.of([0, 3, 5])
     assert f.shift_down().coeffs == (3, 5)
-    assert f.shift_up().coeffs == (0, 0, 3)
-    assert f.shift_down().shift_up().coeffs == (0, 3)
+    assert shift_up(f).coeffs == (0, 0, 3)
+    assert shift_up(f.shift_down()).coeffs == (0, 3)
     with pytest.raises(FormatError):
         RationalSeries.of([1, 2]).shift_down()
 
@@ -85,21 +89,16 @@ def test_reciprocal_of_geometric_series():
 def test_compose_requires_vanishing_constant_term():
     f = RationalSeries.of([1, 1, 1])
     with pytest.raises(FormatError):
-        f.compose(RationalSeries.of([1, 0, 0]))
+        compose(f, RationalSeries.of([1, 0, 0]))
 
 
 def test_catalan_generating_function_from_inverse():
     # the inverse of z/(1+z)^2 is the Catalan generating function minus 1
     order = 9
     one_plus = RationalSeries.of([1, 1] + [0] * (order - 1))
-    f = (one_plus * one_plus).reciprocal().shift_up()
+    f = shift_up((one_plus * one_plus).reciprocal())
     h = f.compositional_inverse()
     assert h.coeffs[1:] == tuple(catalan(n) for n in range(1, order + 1))
-
-
-def test_derivative():
-    f = RationalSeries.of([7, 1, 3, 5])
-    assert f.derivative().coeffs == (1, 6, 15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,8 +131,8 @@ def test_compositional_inverse_roundtrip(f):
         return
     g = f.compositional_inverse()
     ident = RationalSeries.identity(6).coeffs
-    assert f.compose(g).coeffs == ident
-    assert g.compose(f).coeffs == ident
+    assert compose(f, g).coeffs == ident
+    assert compose(g, f).coeffs == ident
 
 
 def test_lagrange_inversion_agrees_with_triangular_solve():
