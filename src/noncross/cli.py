@@ -228,7 +228,7 @@ def _cox_ncset(args) -> dict:
         "coxeter_element": list(c),
         "count": len(elems),
         "elements": [
-            {"window": list(w), "length": ctx.length[w]} for w in elems
+            {"window": list(w), "length": coxeter.absolute_length(ctx, w)} for w in elems
         ],
     }
 
@@ -260,7 +260,7 @@ def _cox_redt(args) -> dict:
         "family": ctx.family,
         "rank": ctx.rank,
         "element": list(w),
-        "length": ctx.length[w],
+        "length": coxeter.absolute_length(ctx, w),
         "count": len(facts),
         "factorizations": [list(f.names()) for f in facts],
     }
@@ -277,7 +277,7 @@ def _cox_hurwitz(args) -> dict:
         "family": ctx.family,
         "rank": ctx.rank,
         "element": list(w),
-        "length": ctx.length[w],
+        "length": coxeter.absolute_length(ctx, w),
         "factorizations": sum(len(o) for o in orbits),
         "orbit_sizes": [len(o) for o in orbits],
         "transitive": len(orbits) == 1,
@@ -292,7 +292,7 @@ def _cox_quasicox(args) -> dict:
         "family": ctx.family,
         "rank": ctx.rank,
         "element": list(w),
-        "length": ctx.length[w],
+        "length": coxeter.absolute_length(ctx, w),
         "quasi_coxeter": coxeter.is_quasi_coxeter(ctx, w),
         "coxeter": coxeter.is_coxeter_element(ctx, w),
         "parabolic_quasi_coxeter": coxeter.is_parabolic_quasi_coxeter(ctx, w),

@@ -6,8 +6,11 @@ signed ones, D restricted to an even number of sign changes.  The generating
 set here is the full reflection set T, not just the simple reflections:
 reflection length l_T, the absolute order u <= v iff
 l_T(u) + l_T(u^{-1} v) = l_T(v), and the non-crossing set
-NC(W, c) = {u : u <= c} below a Coxeter element c are all computed against a
-group-wide distance table built once per context.
+NC(W, c) = {u : u <= c} below a Coxeter element c.
+
+Reflection length is Carter's closed form l_T(w) = codim Fix(w): the letters
+minus the cycles of |w| with an even number of sign changes.  NC(W, c) is
+walked down from c, one reflection at a time, so no query builds W itself.
 
 Reflections carry integer root coordinates (type A: e_i - e_j inside the
 sum-zero sublattice; B: e_i - e_j, e_i + e_j and short e_i; D: e_i +- e_j),
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     FormatError,
@@ -59,12 +63,12 @@ def identity(n: int) -> Window:
 
 
 class CoxeterContext:
-    """A reflection group of type A, B or D with everything precomputed.
+    """A reflection group of type A, B or D, described by its reflections.
 
-    The context is immutable after construction: reflection set with roots,
-    the full element list, the reflection-length table (breadth-first over
-    the T-Cayley graph) and the default Coxeter element (product of the
-    listed simple reflections in order).
+    The context is immutable after construction: reflection set with roots
+    and names, the simple reflections and the default Coxeter element
+    (product of the simple reflections in order).  Nothing of size |W| is
+    built; `elements` generates the group from the simples on first use.
     """
 
     def __init__(self, family: str, rank: int, rank_cap: int | None = None):
@@ -81,13 +85,14 @@ class CoxeterContext:
         self.family = family
         self.rank = rank
         self.n = rank + 1 if family == "A" else rank
+        letters = range(1, self.n + 1)
+        self._letters = frozenset(letters if family == "A" else [*letters, *(-i for i in letters)])
 
         self._build_reflections()
         self._build_simples()
         self.coxeter_element = identity(self.n)
         for s in self.simples:
             self.coxeter_element = mul(self.coxeter_element, s)
-        self._build_length_table()
 
     # -- construction ------------------------------------------------------
 
@@ -95,36 +100,22 @@ class CoxeterContext:
         n = self.n
         refl: list[tuple[Window, Vector, str]] = []
 
-        def e(i: int, sign: int = 1) -> Vector:
-            v = [0] * n
-            v[i - 1] = sign
-            return tuple(v)
+        def add(images: dict[int, int], root: dict[int, int], name: str) -> None:
+            w, v = list(identity(n)), [0] * n
+            for i, x in images.items():
+                w[i - 1] = x
+            for i, x in root.items():
+                v[i - 1] = x
+            refl.append((tuple(w), tuple(v), name))
 
-        def vec_diff(i: int, j: int) -> Vector:
-            v = [0] * n
-            v[i - 1], v[j - 1] = 1, -1
-            return tuple(v)
-
-        def vec_sum(i: int, j: int) -> Vector:
-            v = [0] * n
-            v[i - 1] = v[j - 1] = 1
-            return tuple(v)
-
-        base = identity(n)
         for i, j in combinations(range(1, n + 1), 2):
-            w = list(base)
-            w[i - 1], w[j - 1] = j, i
-            refl.append((tuple(w), vec_diff(i, j), f"t({i},{j},+)"))
+            add({i: j, j: i}, {i: 1, j: -1}, f"t({i},{j},+)")
         if self.family in ("B", "D"):
             for i, j in combinations(range(1, n + 1), 2):
-                w = list(base)
-                w[i - 1], w[j - 1] = -j, -i
-                refl.append((tuple(w), vec_sum(i, j), f"t({i},{j},-)"))
+                add({i: -j, j: -i}, {i: 1, j: 1}, f"t({i},{j},-)")
         if self.family == "B":
             for i in range(1, n + 1):
-                w = list(base)
-                w[i - 1] = -i
-                refl.append((tuple(w), e(i), f"t({i})"))
+                add({i: -i}, {i: 1}, f"t({i})")
 
         self.reflections: tuple[Window, ...] = tuple(r[0] for r in refl)
         self.root_of: dict[Window, Vector] = {r[0]: r[1] for r in refl}
@@ -143,34 +134,27 @@ class CoxeterContext:
         self.simple_roots = [self.root_of[s] for s in self.simples]
         self.simple_coroots = [coroot(r) for r in self.simple_roots]
 
-    def _build_length_table(self) -> None:
-        dist: dict[Window, int] = {identity(self.n): 0}
-        frontier = [identity(self.n)]
-        while frontier:
-            nxt: list[Window] = []
-            for w in frontier:
-                d = dist[w] + 1
-                for t in self.reflections:
-                    u = mul(w, t)
-                    if u not in dist:
-                        dist[u] = d
-                        nxt.append(u)
-            frontier = nxt
-        self.length: dict[Window, int] = dist
-        self.elements: tuple[Window, ...] = tuple(sorted(dist))
-
     # -- basic queries -----------------------------------------------------
+
+    @cached_property
+    def elements(self) -> tuple[Window, ...]:
+        """All of W, sorted; no query reads it."""
+        return tuple(sorted(generated_subgroup(self, list(self.simples))))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, w: Window) -> bool:
-        return w in self.length
-
     def check_element(self, w: Window) -> Window:
+        """w as a tuple if it is a window of this group (each letter once up
+        to sign; no signs in type A, an even number in type D)."""
         w = tuple(w)
-        if w not in self.length:
+        if not (
+            len(w) == self.n
+            and set(w) <= self._letters
+            and len({abs(x) for x in w}) == self.n
+            and (self.family != "D" or sum(x < 0 for x in w) % 2 == 0)
+        ):
             raise FormatError(f"{list(w)} is not an element of {self.family}_{self.rank}")
         return w
 
@@ -184,7 +168,7 @@ class CoxeterContext:
             raise FormatError(f"unknown reflection {name!r}") from None
 
     def __repr__(self) -> str:
-        return f"CoxeterContext({self.family}_{self.rank}, |W|={self.order}, |T|={len(self.reflections)})"
+        return f"CoxeterContext({self.family}_{self.rank}, |T|={len(self.reflections)})"
 
 
 def coroot(root: Vector) -> Vector:
@@ -214,24 +198,51 @@ class ReflectionFactorization:
         return tuple(self.ctx.name_of[t] for t in self.factors)
 
 
+def _closure(seeds: Iterable, step: Callable[[object], Iterable]) -> set:
+    """The seeds and everything reachable from them through step."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _reflection_length(w: Window) -> int:
+    """Carter's l_T(w) = codim Fix(w) for a window known to be valid."""
+    return len(w) - sum(not negative for _, negative in _signed_cycle_type(w))
+
+
+def _le(u: Window, v: Window) -> bool:
+    return _reflection_length(u) + _reflection_length(mul(inv(u), v)) == _reflection_length(v)
+
+
 def absolute_length(ctx: CoxeterContext, w: Window) -> int:
     """l_T(w): fewest reflections multiplying to w."""
-    return ctx.length[ctx.check_element(w)]
+    return _reflection_length(ctx.check_element(w))
 
 
 def abs_le(ctx: CoxeterContext, u: Window, v: Window) -> bool:
     """Absolute order: u <= v iff l_T(u) + l_T(u^{-1} v) = l_T(v)."""
-    u = ctx.check_element(u)
-    v = ctx.check_element(v)
-    return ctx.length[u] + ctx.length[mul(inv(u), v)] == ctx.length[v]
+    return _le(ctx.check_element(u), ctx.check_element(v))
 
 
 def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
-    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window)."""
+    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window).
+
+    The interval [1, c] is graded by l_T and the elements covered by u are
+    the t u with l_T(t u) < l_T(u), so walking those steps down from c
+    reaches all of it.
+    """
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
-    out = [u for u in ctx.elements if abs_le(ctx, u, c)]
-    out.sort(key=lambda u: (ctx.length[u], u))
-    return out
+
+    def below(u: Window) -> Iterator[Window]:
+        k = _reflection_length(u)
+        return (tu for t in ctx.reflections if _reflection_length(tu := mul(t, u)) < k)
+
+    return sorted(_closure([c], below), key=lambda u: (_reflection_length(u), u))
 
 
 def duality(ctx: CoxeterContext, x: Window, c: Window | None = None) -> Window:
@@ -254,10 +265,11 @@ def red_t_factorizations(
         raise ResourceCapExceeded(
             f"factorization enumeration capped at rank {rank_cap}, context has {ctx.rank}"
         )
-    if ctx.length[w] > length_cap:
+    length = _reflection_length(w)
+    if length > length_cap:
         raise ResourceCapExceeded(
             f"factorization enumeration capped at length {length_cap}, "
-            f"element has {ctx.length[w]}"
+            f"element has {length}"
         )
     return [ReflectionFactorization(ctx, f) for f in _reduced_descent(ctx, w)]
 
@@ -269,13 +281,13 @@ def _reduced_descent(ctx: CoxeterContext, w: Window) -> Iterator[tuple[Window, .
     are the reflections t with l_T(t w_rest) = l_T(w_rest) - 1.  Every such
     step can be completed, so the first item is the greedy factorization.
     """
-    remaining = ctx.length[w]
+    remaining = _reflection_length(w)
     if remaining == 0:
         yield ()
         return
     for t in ctx.reflections:
         tail = mul(t, w)  # t^{-1} w; reflections are involutions
-        if ctx.length[tail] == remaining - 1:
+        if _reflection_length(tail) == remaining - 1:
             for rest in _reduced_descent(ctx, tail):
                 yield (t, *rest)
 
@@ -314,20 +326,14 @@ def hurwitz_orbits(
     all_facts = red_t_factorizations(ctx, w, length_cap=length_cap, rank_cap=rank_cap)
     pending = {f.factors for f in all_facts}
     orbits: list[list[ReflectionFactorization]] = []
+
+    def moves(f: tuple[Window, ...]) -> Iterator[tuple[Window, ...]]:
+        for i in range(len(f) - 1):
+            yield hurwitz_act(f, i)
+            yield hurwitz_act(f, i, inverse=True)
+
     while pending:
-        seed = next(iter(pending))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for i in range(len(f) - 1):
-                    for invflag in (False, True):
-                        g = hurwitz_act(f, i, inverse=invflag)
-                        if g not in orbit:
-                            orbit.add(g)
-                            nxt.append(g)
-            frontier = nxt
+        orbit = _closure([next(iter(pending))], moves)
         if not orbit <= pending:
             raise ArithmeticError("braid move left the reduced factorization set")
         pending -= orbit
@@ -477,7 +483,7 @@ def is_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
     reflections cannot generate the group; they are never quasi-Coxeter.
     """
     w = ctx.check_element(w)
-    if ctx.length[w] != ctx.rank:
+    if _reflection_length(w) != ctx.rank:
         return False
     roots = [ctx.root_of[t] for t in next(_reduced_descent(ctx, w))]
     idx = lattice_basis_index(ctx.simple_roots, roots)
@@ -488,18 +494,7 @@ def is_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
 
 
 def generated_subgroup(ctx: CoxeterContext, gens: list[Window]) -> frozenset[Window]:
-    seen = {identity(ctx.n), *gens}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_closure([identity(ctx.n), *gens], lambda x: (mul(x, g) for g in gens)))
 
 
 def fixed_space(ctx: CoxeterContext, w: Window) -> list[list[Fraction]]:
@@ -523,25 +518,32 @@ def is_parabolic_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
     The closure is generated by the reflections it contains, those whose
     root is orthogonal to Fix(w) (Steinberg), and it contains the
     factorization's subgroup, so the two groups agree exactly when they hold
-    the same reflections.
+    the same reflections.  The reflections of a group generated by
+    reflections are the conjugates of its generators, so closing the
+    factors under conjugation by one another finds them.
     """
     w = ctx.check_element(w)
-    generated = generated_subgroup(ctx, list(next(_reduced_descent(ctx, w))))
+    factors = next(_reduced_descent(ctx, w))
+    generated = _closure(factors, lambda t: (mul(mul(s, t), s) for s in factors))
     fixed = fixed_space(ctx, w)
-    closure = {
+    orthogonal = {
         t
         for t, root in ctx.root_of.items()
         if all(sum(r * x for r, x in zip(root, v)) == 0 for v in fixed)
     }
-    return generated.intersection(ctx.reflections) == closure
+    return generated == orthogonal
 
 
 def nc_lattice_check(ctx: CoxeterContext, c: Window | None = None) -> bool:
     """Exhaustively verify that NC(W, c) has a meet and join for every pair."""
     elems = nc_set(ctx, c)
+    lengths = [_reflection_length(u) for u in elems]
     le = [
-        [abs_le(ctx, u, v) for v in elems]
-        for u in elems
+        [
+            u == v or lu < lv and lu + _reflection_length(mul(inv(u), v)) == lv
+            for v, lv in zip(elems, lengths)
+        ]
+        for u, lu in zip(elems, lengths)
     ]
 
     def unique_extreme(candidates: list[int], upper: bool) -> bool:
@@ -585,20 +587,8 @@ def permutation_to_partition(ctx: CoxeterContext, w: Window, c: Window | None = 
         raise NotBelowCoxeterElement(
             f"{list(w)} is not below the reference Coxeter element"
         )
-    n = ctx.n
-    seen = [False] * (n + 1)
-    blocks = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            orbit.append(i)
-            i = w[i - 1]
-        blocks.append(tuple(sorted(orbit)))
-    return NCPartition(SetPartition(n, tuple(sorted(blocks))))
+    orbits = {tuple(sorted(_closure([i], lambda x: [w[x - 1]]))) for i in range(1, ctx.n + 1)}
+    return NCPartition(SetPartition(ctx.n, tuple(sorted(orbits))))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +605,7 @@ def dual_braid_relations(ctx: CoxeterContext, c: Window | None = None) -> list[t
             if s == t:
                 continue
             st = mul(s, t)
-            if abs_le(ctx, st, c):
+            if _le(st, c):
                 tp = mul(mul(s, t), s)
                 if tp not in ctx.root_of:
                     raise ArithmeticError("conjugate of a reflection must be a reflection")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from noncross.coxeter import fixed_space, generated_subgroup, mul
+from noncross.coxeter import fixed_space, generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError, OrderMismatch
 from noncross.freeprob import MomentSequence, _nc_profiles, _product_over, moment_series
 from noncross.partitions import NCPartition, catalan, enumerate_nc
@@ -291,7 +291,34 @@ def mobius_table(le: list[list[bool]]) -> dict[tuple[int, int], int]:
 
 # ---------------------------------------------------------------------------
 # Oracles for the Coxeter layer: whole-group scans that the library replaces
-# by cycle types and root orthogonality.
+# by cycle types, Carter's codimension formula and root orthogonality.
+
+
+@cache
+def bfs_reflection_length(ctx) -> dict:
+    """Graph distance from the identity in the Cayley graph over the full
+    reflection set, for every element of the group."""
+    start = identity(ctx.n)
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for t in ctx.reflections:
+                u = mul(w, t)
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def nc_scan(ctx, c) -> list:
+    """NC(W, c) by testing every element of W against c with the BFS
+    lengths, sorted like `nc_set`."""
+    dist = bfs_reflection_length(ctx)
+    below = [u for u in ctx.elements if dist[u] + dist[mul(inv(u), c)] == dist[c]]
+    return sorted(below, key=lambda u: (dist[u], u))
 
 
 def apply_to_vector(w, v: list[Fraction]) -> list[Fraction]:
@@ -327,9 +354,10 @@ def closure_is_generated(ctx, w) -> bool:
     """The parabolic quasi-Coxeter property by its definition: a reduced
     factorization (the greedy one) generates the whole pointwise stabilizer
     of Fix(w)."""
+    dist = bfs_reflection_length(ctx)
     factors, rest = [], w
-    while ctx.length[rest]:
-        t = next(t for t in ctx.reflections if ctx.length[mul(t, rest)] == ctx.length[rest] - 1)
+    while dist[rest]:
+        t = next(t for t in ctx.reflections if dist[mul(t, rest)] == dist[rest] - 1)
         factors.append(t)
         rest = mul(t, rest)
     return generated_subgroup(ctx, factors) == pointwise_stabilizer(ctx, fixed_space(ctx, w))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import noncross.coxeter as cx
-from helpers import pointwise_stabilizer
+from helpers import bfs_reflection_length, pointwise_stabilizer
 from noncross import (
     CrossingPartition,
     CumulantSequence,
@@ -221,24 +221,6 @@ def test_c09_order_complex_euler_characteristic_equals_mobius_everywhere():
                         assert reduced_euler_characteristic(complex_) == mobius_nc(p, q)
 
 
-def _bfs_reflection_length(ctx) -> dict:
-    """Independent oracle: graph distance from the identity in the Cayley
-    graph over the full reflection set."""
-    start = cx.identity(ctx.n)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for t in ctx.reflections:
-                u = cx.mul(w, t)
-                if u not in dist:
-                    dist[u] = dist[w] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
 @pytest.mark.parametrize(
     "family,rk,expected",
     [("A", 3, 14), ("B", 3, 20), ("D", 4, 50)],
@@ -247,7 +229,7 @@ def _bfs_reflection_length(ctx) -> dict:
 def test_c10_noncrossing_element_counts_match_brute_force(family, rk, expected):
     with budget(f"c10 NC count {family}{rk}", 60):
         ctx = cx.CoxeterContext(family, rk)
-        dist = _bfs_reflection_length(ctx)
+        dist = bfs_reflection_length(ctx)
         assert set(dist) == set(ctx.elements)
         c = ctx.coxeter_element
         brute = sum(

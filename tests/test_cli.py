@@ -107,6 +107,7 @@ def test_bad_input_exits_2(argv):
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "0"],
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "-2"],
         ["rmt", "verify", "--threads", "-3"],
+        ["cox", "quasicox", "--family", "B", "--rank", "3", "--element", "[0,1,2]"],
     ],
     ids=lambda a: " ".join(a),
 )

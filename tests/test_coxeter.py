@@ -2,9 +2,11 @@
 
 Oracles: the reflection formula r(v) = v - 2 (v, a)/(a, a) a ties every
 window to its stored root; absolute length is checked against the
-codimension of the fixed space; group orders, reflection counts and the
-non-crossing counts come from closed formulas; the type A face is compared
-element by element with the partition lattice."""
+codimension of the fixed space and against breadth-first distances in the
+reflection Cayley graph; NC(W, c) against a scan of the whole group; group
+orders, reflection counts and the non-crossing counts come from closed
+formulas; the type A face is compared element by element with the partition
+lattice."""
 
 import random
 from fractions import Fraction
@@ -13,7 +15,15 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import apply_to_vector, closure_is_generated, conjugacy_class, nc_all, pointwise_stabilizer
+from helpers import (
+    apply_to_vector,
+    bfs_reflection_length,
+    closure_is_generated,
+    conjugacy_class,
+    nc_all,
+    nc_scan,
+    pointwise_stabilizer,
+)
 from noncross import coxeter as C
 from noncross.errors import (
     FormatError,
@@ -133,9 +143,19 @@ def test_check_element_rejects_foreign_windows():
         a3.check_element((1, 1, 2, 3))  # not a permutation
     with pytest.raises(FormatError):
         a3.check_element((-1, 2, 3, 4))  # type A has no signs
+    with pytest.raises(FormatError):
+        a3.check_element((0, 1, 2, 3))  # no letter 0
+    with pytest.raises(FormatError):
+        a3.check_element((1, 2, 3, 5))  # letter n + 1
+    with pytest.raises(FormatError):
+        a3.check_element(())  # empty window
+    with pytest.raises(FormatError):
+        ctx("B", 4).check_element((1, -1, 3, 4))  # |letter| repeated with both signs
     d4 = ctx("D", 4)
     with pytest.raises(FormatError):
         d4.check_element((1, 2, 3, -4))  # odd number of sign flips
+    with pytest.raises(FormatError):
+        d4.check_element((1, -1, -3, 4))  # even sign flips, |letter| repeated
     assert d4.check_element((1, 2, -3, -4)) == (1, 2, -3, -4)
 
 
@@ -148,7 +168,28 @@ def test_absolute_length_is_fixed_space_codimension(family, rk):
     context = ctx(family, rk)
     for w in context.elements:
         codim = context.n - len(C.fixed_space(context, w))
-        assert context.length[w] == codim
+        assert C.absolute_length(context, w) == codim
+
+
+@pytest.mark.parametrize(
+    "family,rk",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)],
+)
+def test_absolute_length_closed_form_matches_the_cayley_graph_distance(family, rk):
+    context = ctx(family, rk)
+    dist = bfs_reflection_length(context)
+    assert set(dist) == set(context.elements)
+    for w, d in dist.items():
+        assert C.absolute_length(context, w) == d, w
+
+
+@pytest.mark.parametrize("family,rk", [("A", 3), ("B", 3), ("D", 4)])
+def test_nc_set_matches_the_whole_group_scan_at_every_coxeter_element(family, rk):
+    context = ctx(family, rk)
+    coxeter_class = conjugacy_class(context, context.coxeter_element)
+    assert len(coxeter_class) > 1
+    for c in sorted(coxeter_class):
+        assert C.nc_set(context, c) == nc_scan(context, c), c
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 3), ("D", 4)])
@@ -158,9 +199,10 @@ def test_absolute_length_is_subadditive_and_symmetric(family, rk):
     elems = context.elements
     for _ in range(150):
         u, v = rng.choice(elems), rng.choice(elems)
-        assert context.length[C.mul(u, v)] <= context.length[u] + context.length[v]
+        length = C.absolute_length(context, C.mul(u, v))
+        assert length <= C.absolute_length(context, u) + C.absolute_length(context, v)
     for w in elems:
-        assert context.length[C.inv(w)] == context.length[w]
+        assert C.absolute_length(context, C.inv(w)) == C.absolute_length(context, w)
 
 
 def test_absolute_order_axioms_on_b2():
@@ -210,7 +252,7 @@ def test_duality_reverses_the_order_below_c(family, rk):
     assert images == set(below)
     for x in below:
         dx = C.duality(context, x)
-        assert context.length[x] + context.length[dx] == context.length[c]
+        assert C.absolute_length(context, x) + C.absolute_length(context, dx) == C.absolute_length(context, c)
         twice = C.duality(context, dx)
         assert twice == C.mul(C.mul(C.inv(c), x), c)
     rng = random.Random(1)
@@ -287,7 +329,7 @@ def test_braid_action_is_transitive_on_coxeter_factorizations(family, rk):
 def test_braid_orbits_of_minus_identity_in_d4():
     context = ctx("D", 4)
     minus = (-1, -2, -3, -4)
-    assert context.length[minus] == 4
+    assert C.absolute_length(context, minus) == 4
     orbits = C.hurwitz_orbits(context, minus)
     assert sorted(len(o) for o in orbits) == [24, 24, 24]
 
@@ -320,7 +362,7 @@ def test_d4_has_twelve_proper_quasi_coxeter_elements():
 def test_proper_quasi_coxeter_example_in_detail():
     context = ctx("D", 4)
     w = (-4, -3, 2, 1)
-    assert context.length[w] == 4
+    assert C.absolute_length(context, w) == 4
     assert C.is_quasi_coxeter(context, w)
     assert not C.is_coxeter_element(context, w)
     orbits = C.hurwitz_orbits(context, w)
@@ -431,8 +473,8 @@ def test_partition_permutation_roundtrip(m):
     context = ctx("A", m - 1)
     for p in nc_all(m):
         w = C.partition_to_permutation(p)
-        assert context.contains(w)
-        assert context.length[w] == rank(p)
+        assert context.check_element(w) == w
+        assert C.absolute_length(context, w) == rank(p)
         assert C.permutation_to_partition(context, w) == p
 
 
