@@ -52,7 +52,7 @@ def _partition(text: str) -> NCPartition:
 def _window(text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+        if not isinstance(data, list) or not all(type(x) is int for x in data):
             raise ValueError
     except (json.JSONDecodeError, ValueError):
         raise FormatError(f"cannot parse group element {text!r}; expected e.g. [2,-1,3]") from None
@@ -236,16 +236,16 @@ def _cox_ncset(args) -> dict:
 def _cox_nccount(args) -> dict:
     ctx = _context(args)
     c = _coxeter_element(ctx, args)
-    count = len(coxeter.nc_set(ctx, c))
+    elems = coxeter.nc_set(ctx, c)
     out = {
         "kind": "cox_nccount",
         "family": ctx.family,
         "rank": ctx.rank,
         "coxeter_element": list(c),
-        "count": count,
+        "count": len(elems),
     }
     if args.lattice:
-        out["lattice_check"] = coxeter.nc_lattice_check(ctx, c)
+        out["lattice_check"] = coxeter.nc_lattice_check(elems)
     return out
 
 

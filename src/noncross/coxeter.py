@@ -12,18 +12,16 @@ Reflection length is Carter's closed form l_T(w) = codim Fix(w): the letters
 minus the cycles of |w| with an even number of sign changes.  NC(W, c) is
 walked down from c, one reflection at a time, so no query builds W itself.
 
-Reflections carry integer root coordinates (type A: e_i - e_j inside the
-sum-zero sublattice; B: e_i - e_j, e_i + e_j and short e_i; D: e_i +- e_j),
-which drive the quasi-Coxeter tests: an element of full reflection length is
-quasi-Coxeter exactly when the roots of one (equivalently any) reduced
-factorization form a Z-basis of the root lattice and their coroots one of
-the coroot lattice.
+The signed cycle type also decides the remaining classes: Coxeter elements
+(Carter 1972), quasi-Coxeter and parabolic quasi-Coxeter elements
+(Baumeister, Gobet, Roberts and Wegener 2017), so no predicate needs roots
+or linear algebra.  Reflections are windows named t(i,j,+) (swap i and j),
+t(i,j,-) (i -> -j, j -> -i) and, in type B, t(i) (i -> -i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
@@ -36,7 +34,6 @@ from .errors import (
 from .partitions import NCPartition, SetPartition, _cycle_map
 
 Window = tuple[int, ...]
-Vector = tuple[int, ...]
 
 DEFAULT_RANK_CAP = {"A": 7, "B": 5, "D": 5}
 DEFAULT_FACTORIZATION_LENGTH_CAP = 5
@@ -65,8 +62,8 @@ def identity(n: int) -> Window:
 class CoxeterContext:
     """A reflection group of type A, B or D, described by its reflections.
 
-    The context is immutable after construction: reflection set with roots
-    and names, the simple reflections and the default Coxeter element
+    The context is immutable after construction: reflection set with
+    names, the simple reflections and the default Coxeter element
     (product of the simple reflections in order).  Nothing of size |W| is
     built; `elements` generates the group from the simples on first use.
     """
@@ -98,29 +95,26 @@ class CoxeterContext:
 
     def _build_reflections(self) -> None:
         n = self.n
-        refl: list[tuple[Window, Vector, str]] = []
+        refl: list[tuple[Window, str]] = []
 
-        def add(images: dict[int, int], root: dict[int, int], name: str) -> None:
-            w, v = list(identity(n)), [0] * n
+        def add(images: dict[int, int], name: str) -> None:
+            w = list(identity(n))
             for i, x in images.items():
                 w[i - 1] = x
-            for i, x in root.items():
-                v[i - 1] = x
-            refl.append((tuple(w), tuple(v), name))
+            refl.append((tuple(w), name))
 
         for i, j in combinations(range(1, n + 1), 2):
-            add({i: j, j: i}, {i: 1, j: -1}, f"t({i},{j},+)")
+            add({i: j, j: i}, f"t({i},{j},+)")
         if self.family in ("B", "D"):
             for i, j in combinations(range(1, n + 1), 2):
-                add({i: -j, j: -i}, {i: 1, j: 1}, f"t({i},{j},-)")
+                add({i: -j, j: -i}, f"t({i},{j},-)")
         if self.family == "B":
             for i in range(1, n + 1):
-                add({i: -i}, {i: 1}, f"t({i})")
+                add({i: -i}, f"t({i})")
 
         self.reflections: tuple[Window, ...] = tuple(r[0] for r in refl)
-        self.root_of: dict[Window, Vector] = {r[0]: r[1] for r in refl}
-        self.name_of: dict[Window, str] = {r[0]: r[2] for r in refl}
-        self._by_name = {r[2]: r[0] for r in refl}
+        self.name_of: dict[Window, str] = dict(refl)
+        self._by_name = {r[1]: r[0] for r in refl}
 
     def _build_simples(self) -> None:
         n = self.n
@@ -131,8 +125,6 @@ class CoxeterContext:
             self.simples = (self._by_name["t(1)"], *adjacent)
         else:
             self.simples = (self._by_name["t(1,2,-)"], *adjacent)
-        self.simple_roots = [self.root_of[s] for s in self.simples]
-        self.simple_coroots = [coroot(r) for r in self.simple_roots]
 
     # -- basic queries -----------------------------------------------------
 
@@ -169,16 +161,6 @@ class CoxeterContext:
 
     def __repr__(self) -> str:
         return f"CoxeterContext({self.family}_{self.rank}, |T|={len(self.reflections)})"
-
-
-def coroot(root: Vector) -> Vector:
-    """The coroot 2a/(a,a) as an integer vector (root norms here are 1 or 2)."""
-    norm = sum(x * x for x in root)
-    if norm == 2:
-        return root
-    if norm == 1:
-        return tuple(2 * x for x in root)
-    raise FormatError(f"unexpected root norm {norm}")
 
 
 @dataclass(frozen=True)
@@ -343,100 +325,7 @@ def hurwitz_orbits(
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the rationals (tiny dimensions).
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [r[:] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    rref, pivots = _rref(rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    rows = [r[:] for r in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        invp = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] * invp
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
-def _coords_in_basis(basis: list[Vector], target: Vector) -> list[Fraction] | None:
-    """Coefficients x with sum x_k basis_k = target, or None if outside the span."""
-    ncols = len(basis)
-    rows = [
-        [Fraction(basis[k][d]) for k in range(ncols)] + [Fraction(target[d])]
-        for d in range(len(target))
-    ]
-    rref, pivots = _rref(rows)
-    if ncols in pivots:
-        return None
-    coords = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        coords[pc] = rref[r][ncols]
-    return coords
-
-
-def lattice_basis_index(basis: list[Vector], candidates: list[Vector]) -> Fraction | None:
-    """|det| of the candidate vectors written in the given lattice basis.
-
-    The candidates are a Z-basis of the lattice exactly when this equals 1
-    (0 means they are dependent); None means some candidate falls outside
-    the lattice, either non-integral in the basis or outside its span.
-    """
-    if len(candidates) != len(basis):
-        return None
-    coord_rows = []
-    for c in candidates:
-        coords = _coords_in_basis(basis, c)
-        if coords is None or any(x.denominator != 1 for x in coords):
-            return None
-        coord_rows.append(coords)
-    return abs(_det(coord_rows))
-
-
-# ---------------------------------------------------------------------------
-# Quasi-Coxeter and parabolic machinery.
+# Element classes read off the signed cycle type.
 
 
 def _signed_cycle_type(w: Window) -> list[tuple[int, bool]]:
@@ -475,68 +364,45 @@ def is_coxeter_element(ctx: CoxeterContext, w: Window) -> bool:
 
 
 def is_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
-    """True when some (equivalently any) reduced factorization of w has roots
-    forming a Z-basis of the root lattice and coroots one of the coroot
-    lattice.
+    """Whether the reflections of some (equivalently every) reduced
+    factorization of w generate W.
 
-    Elements of reflection length below the rank fix a subspace, so their
-    reflections cannot generate the group; they are never quasi-Coxeter.
+    By the classification of Baumeister, Gobet, Roberts and Wegener (2017,
+    "On the Hurwitz action in finite Coxeter groups") these are the Coxeter
+    elements in types A and B; in type D they are the elements with exactly
+    two cycles, both negative (a negative (n-1)-cycle beside a negative
+    1-cycle is a Coxeter element, the other splittings are proper
+    quasi-Coxeter elements).
     """
-    w = ctx.check_element(w)
-    if _reflection_length(w) != ctx.rank:
-        return False
-    roots = [ctx.root_of[t] for t in next(_reduced_descent(ctx, w))]
-    idx = lattice_basis_index(ctx.simple_roots, roots)
-    if idx != 1:
-        return False
-    coidx = lattice_basis_index(ctx.simple_coroots, [coroot(r) for r in roots])
-    return coidx == 1
+    if ctx.family != "D":
+        return is_coxeter_element(ctx, w)
+    cycles = _signed_cycle_type(ctx.check_element(w))
+    return len(cycles) == 2 and all(negative for _, negative in cycles)
+
+
+def is_parabolic_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
+    """Whether the reflections of a reduced factorization of w generate the
+    pointwise stabilizer of the fixed space of w (the parabolic closure).
+
+    By the classification of Baumeister, Gobet, Roberts and Wegener (2017)
+    these are the elements with at most one negative cycle in types A and B
+    and at most two in type D (where the count is always even).
+    """
+    negative = sum(neg for _, neg in _signed_cycle_type(ctx.check_element(w)))
+    return negative <= (2 if ctx.family == "D" else 1)
 
 
 def generated_subgroup(ctx: CoxeterContext, gens: list[Window]) -> frozenset[Window]:
     return frozenset(_closure([identity(ctx.n), *gens], lambda x: (mul(x, g) for g in gens)))
 
 
-def fixed_space(ctx: CoxeterContext, w: Window) -> list[list[Fraction]]:
-    """A rational basis of {v : w v = v}."""
-    n = ctx.n
-    rows = []
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] -= 1
-        for i, wi in enumerate(w):
-            if abs(wi) - 1 == j:
-                row[i] += 1 if wi > 0 else -1
-        rows.append(row)
-    return _kernel_basis(rows, n)
+def nc_lattice_check(elems: list[Window]) -> bool:
+    """Exhaustively verify that NC(W, c), given as `nc_set` returns it, is a
+    lattice: it has a top and every pair has a meet.
 
-
-def is_parabolic_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
-    """True when the reflections of a reduced factorization of w generate the
-    pointwise stabilizer of the fixed space of w (the parabolic closure).
-
-    The closure is generated by the reflections it contains, those whose
-    root is orthogonal to Fix(w) (Steinberg), and it contains the
-    factorization's subgroup, so the two groups agree exactly when they hold
-    the same reflections.  The reflections of a group generated by
-    reflections are the conjugates of its generators, so closing the
-    factors under conjugation by one another finds them.
+    In a finite poset with a top that suffices, since the join of x and y is
+    the meet of their common upper bounds.
     """
-    w = ctx.check_element(w)
-    factors = next(_reduced_descent(ctx, w))
-    generated = _closure(factors, lambda t: (mul(mul(s, t), s) for s in factors))
-    fixed = fixed_space(ctx, w)
-    orthogonal = {
-        t
-        for t, root in ctx.root_of.items()
-        if all(sum(r * x for r, x in zip(root, v)) == 0 for v in fixed)
-    }
-    return generated == orthogonal
-
-
-def nc_lattice_check(ctx: CoxeterContext, c: Window | None = None) -> bool:
-    """Exhaustively verify that NC(W, c) has a meet and join for every pair."""
-    elems = nc_set(ctx, c)
     lengths = [_reflection_length(u) for u in elems]
     le = [
         [
@@ -545,21 +411,13 @@ def nc_lattice_check(ctx: CoxeterContext, c: Window | None = None) -> bool:
         ]
         for u, lu in zip(elems, lengths)
     ]
-
-    def unique_extreme(candidates: list[int], upper: bool) -> bool:
-        for z in candidates:
-            if all((le[x][z] if upper else le[z][x]) for x in candidates):
-                return True
-        return False
-
     n = len(elems)
+    if not any(all(row[z] for row in le) for z in range(n)):
+        return False
     for i in range(n):
         for j in range(i, n):
             lower = [k for k in range(n) if le[k][i] and le[k][j]]
-            if not unique_extreme(lower, upper=False):
-                return False
-            upper_b = [k for k in range(n) if le[i][k] and le[j][k]]
-            if not unique_extreme(upper_b, upper=True):
+            if not any(all(le[x][z] for x in lower) for z in lower):
                 return False
     return True
 
@@ -607,7 +465,7 @@ def dual_braid_relations(ctx: CoxeterContext, c: Window | None = None) -> list[t
             st = mul(s, t)
             if _le(st, c):
                 tp = mul(mul(s, t), s)
-                if tp not in ctx.root_of:
+                if tp not in ctx.name_of:
                     raise ArithmeticError("conjugate of a reflection must be a reflection")
                 if mul(tp, s) != st:
                     raise ArithmeticError("dual braid relation failed to commute")

@@ -258,67 +258,14 @@ def meet_nc(p: NCPartition, q: NCPartition) -> NCPartition:
     return NCPartition(SetPartition(p.m, tuple(sorted(tuple(g) for g in groups.values()))))
 
 
-def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether two disjoint ascending blocks interleave as a b a b or b a b a."""
-    ia = ib = 0
-    run = 0
-    prev = 0
-    while ia < len(a) or ib < len(b):
-        take_a = ib == len(b) or (ia < len(a) and a[ia] < b[ib])
-        cur = 1 if take_a else 2
-        if take_a:
-            ia += 1
-        else:
-            ib += 1
-        if cur != prev:
-            run += 1
-            prev = cur
-    return run >= 4
-
-
 def join_nc(p: NCPartition, q: NCPartition) -> NCPartition:
-    """Least upper bound in NC(m).
+    """Least upper bound in NC(m), through Kreweras duality.
 
-    Starts from the ordinary partition join (transitive closure of shared
-    membership) and then merges crossing blocks until none remain.  Any
-    non-crossing upper bound must already contain each merged pair, so the
-    closure is the least one.
+    The complement K reverses refinement bijectively (Kreweras 1972), so it
+    turns joins into meets, and K^{-1} is K followed by a rotation up by
+    one, since K applied twice rotates labels down by one.
     """
-    _same_ground(p, q)
-    parent = list(range(p.m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for part in (p, q):
-        for b in part.blocks:
-            for e in b[1:]:
-                union(b[0], e)
-    groups: dict[int, list[int]] = {}
-    for i in range(1, p.m + 1):
-        groups.setdefault(find(i), []).append(i)
-    blocks = [tuple(g) for g in groups.values()]
-
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _blocks_cross(blocks[i], blocks[j]):
-                    fused = tuple(sorted(blocks[i] + blocks[j]))
-                    blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
-                    blocks.append(fused)
-                    merged = True
-                    break
-            if merged:
-                break
-    return NCPartition(SetPartition(p.m, tuple(sorted(blocks))))
+    return rotate(kreweras(meet_nc(kreweras(p), kreweras(q))), 1)
 
 
 def _cycle_map(p: NCPartition) -> list[int]:

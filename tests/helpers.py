@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from noncross.coxeter import fixed_space, generated_subgroup, identity, inv, mul
+from noncross.coxeter import generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError, OrderMismatch
 from noncross.freeprob import MomentSequence, _nc_profiles, _product_over, moment_series
 from noncross.partitions import NCPartition, catalan, enumerate_nc
@@ -290,8 +290,8 @@ def mobius_table(le: list[list[bool]]) -> dict[tuple[int, int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Oracles for the Coxeter layer: whole-group scans that the library replaces
-# by cycle types, Carter's codimension formula and root orthogonality.
+# Oracles for the Coxeter layer: whole-group scans, exact linear algebra and
+# the defining properties that the library replaces by signed cycle types.
 
 
 @cache
@@ -319,6 +319,58 @@ def nc_scan(ctx, c) -> list:
     dist = bfs_reflection_length(ctx)
     below = [u for u in ctx.elements if dist[u] + dist[mul(inv(u), c)] == dist[c]]
     return sorted(below, key=lambda u: (dist[u], u))
+
+
+def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """A basis of {v : rows v = 0}, by Gauss-Jordan elimination over Q."""
+    rows = [r[:] for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def fixed_space(ctx, w) -> list[list[Fraction]]:
+    """A rational basis of {v : w v = v}, solving (w - 1) v = 0."""
+    n = ctx.n
+    rows = []
+    for j in range(n):
+        row = [Fraction(0)] * n
+        row[j] -= 1
+        for i, wi in enumerate(w):
+            if abs(wi) - 1 == j:
+                row[i] += 1 if wi > 0 else -1
+        rows.append(row)
+    return kernel_basis(rows, n)
+
+
+def root_of(t) -> tuple[int, ...]:
+    """The root of a reflection window, read off the letters it moves:
+    e_i for i -> -i, e_i - e_j for a swap, e_i + e_j for i -> -j."""
+    i = next(k for k, x in enumerate(t, start=1) if x != k)
+    root = [0] * len(t)
+    root[i - 1] = 1
+    j = t[i - 1]
+    if j != -i:
+        root[abs(j) - 1] = -1 if j > 0 else 1
+    return tuple(root)
 
 
 def apply_to_vector(w, v: list[Fraction]) -> list[Fraction]:
@@ -350,14 +402,29 @@ def conjugacy_class(ctx, w) -> frozenset:
     return frozenset(seen)
 
 
-def closure_is_generated(ctx, w) -> bool:
-    """The parabolic quasi-Coxeter property by its definition: a reduced
-    factorization (the greedy one) generates the whole pointwise stabilizer
-    of Fix(w)."""
+def greedy_factorization(ctx, w) -> list:
+    """A reduced reflection factorization of w, peeling off at each step the
+    first reflection that shortens the BFS distance."""
     dist = bfs_reflection_length(ctx)
     factors, rest = [], w
     while dist[rest]:
         t = next(t for t in ctx.reflections if dist[mul(t, rest)] == dist[rest] - 1)
         factors.append(t)
         rest = mul(t, rest)
-    return generated_subgroup(ctx, factors) == pointwise_stabilizer(ctx, fixed_space(ctx, w))
+    return factors
+
+
+def generates_the_group(ctx, w) -> bool:
+    """The quasi-Coxeter property by its definition: the reflections of a
+    reduced factorization (the greedy one) generate W.  Braid moves keep the
+    generated subgroup and act transitively on the factorizations of a
+    quasi-Coxeter element, so one factorization decides it."""
+    return generated_subgroup(ctx, greedy_factorization(ctx, w)) == frozenset(ctx.elements)
+
+
+def closure_is_generated(ctx, w) -> bool:
+    """The parabolic quasi-Coxeter property by its definition: a reduced
+    factorization (the greedy one) generates the whole pointwise stabilizer
+    of Fix(w)."""
+    generated = generated_subgroup(ctx, greedy_factorization(ctx, w))
+    return generated == pointwise_stabilizer(ctx, fixed_space(ctx, w))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import noncross.coxeter as cx
-from helpers import bfs_reflection_length, pointwise_stabilizer
+from helpers import bfs_reflection_length, fixed_space, pointwise_stabilizer
 from noncross import (
     CrossingPartition,
     CumulantSequence,
@@ -279,7 +279,7 @@ def test_c12_factorizations_stay_inside_the_parabolic_closure():
             samples += [(ctx, rng.choice(pool)) for _ in range(50)]
         assert len(samples) == 100
         for ctx, w in samples:
-            closure = pointwise_stabilizer(ctx, cx.fixed_space(ctx, w))
+            closure = pointwise_stabilizer(ctx, fixed_space(ctx, w))
             factorizations = cx.red_t_factorizations(ctx, w)
             assert factorizations
             for fact in factorizations:

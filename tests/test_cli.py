@@ -108,6 +108,7 @@ def test_bad_input_exits_2(argv):
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "-2"],
         ["rmt", "verify", "--threads", "-3"],
         ["cox", "quasicox", "--family", "B", "--rank", "3", "--element", "[0,1,2]"],
+        ["cox", "quasicox", "--family", "A", "--rank", "1", "--element", "[true,2]"],
     ],
     ids=lambda a: " ".join(a),
 )

@@ -1,12 +1,13 @@
 """Reflection groups of types A/B/D as signed windows.
 
 Oracles: the reflection formula r(v) = v - 2 (v, a)/(a, a) a ties every
-window to its stored root; absolute length is checked against the
-codimension of the fixed space and against breadth-first distances in the
-reflection Cayley graph; NC(W, c) against a scan of the whole group; group
-orders, reflection counts and the non-crossing counts come from closed
-formulas; the type A face is compared element by element with the partition
-lattice."""
+window to the root read off its letters; absolute length is checked against
+the codimension of the fixed space and against breadth-first distances in the
+reflection Cayley graph; NC(W, c) against a scan of the whole group; the
+quasi-Coxeter and parabolic quasi-Coxeter tests against their definitions
+(the subgroup a reduced factorization generates); group orders, reflection
+counts and the non-crossing counts come from closed formulas; the type A face
+is compared element by element with the partition lattice."""
 
 import random
 from fractions import Fraction
@@ -20,9 +21,12 @@ from helpers import (
     bfs_reflection_length,
     closure_is_generated,
     conjugacy_class,
+    fixed_space,
+    generates_the_group,
     nc_all,
     nc_scan,
     pointwise_stabilizer,
+    root_of,
 )
 from noncross import coxeter as C
 from noncross.errors import (
@@ -39,6 +43,8 @@ def ctx(family: str, rk: int) -> C.CoxeterContext:
 
 
 ALL_SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
+# Every element of these groups is checked against a whole-group oracle.
+ORACLE_SIZES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)]
 
 
 def dot(u, v) -> Fraction:
@@ -108,7 +114,7 @@ def test_every_reflection_acts_by_its_root(family, rk):
     n = context.n
     basis = [[Fraction(i == j) for i in range(n)] for j in range(n)]
     for t in context.reflections:
-        alpha = context.root_of[t]
+        alpha = root_of(t)
         for e in basis:
             assert apply_to_vector(t, e) == reflect(e, alpha)
         assert C.mul(t, t) == C.identity(n)
@@ -167,14 +173,11 @@ def test_check_element_rejects_foreign_windows():
 def test_absolute_length_is_fixed_space_codimension(family, rk):
     context = ctx(family, rk)
     for w in context.elements:
-        codim = context.n - len(C.fixed_space(context, w))
+        codim = context.n - len(fixed_space(context, w))
         assert C.absolute_length(context, w) == codim
 
 
-@pytest.mark.parametrize(
-    "family,rk",
-    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)],
-)
+@pytest.mark.parametrize("family,rk", ORACLE_SIZES)
 def test_absolute_length_closed_form_matches_the_cayley_graph_distance(family, rk):
     context = ctx(family, rk)
     dist = bfs_reflection_length(context)
@@ -265,7 +268,7 @@ def test_duality_reverses_the_order_below_c(family, rk):
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3), ("D", 4)])
 def test_nc_lattice_check(family, rk):
-    assert C.nc_lattice_check(ctx(family, rk))
+    assert C.nc_lattice_check(C.nc_set(ctx(family, rk)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +372,7 @@ def test_proper_quasi_coxeter_example_in_detail():
     assert [len(o) for o in orbits] == [192]
 
 
-@pytest.mark.parametrize(
-    "family,rk",
-    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)],
-)
+@pytest.mark.parametrize("family,rk", ORACLE_SIZES)
 def test_cycle_type_test_matches_the_conjugacy_class(family, rk):
     context = ctx(family, rk)
     coxeter_class = conjugacy_class(context, context.coxeter_element)
@@ -380,7 +380,17 @@ def test_cycle_type_test_matches_the_conjugacy_class(family, rk):
         assert C.is_coxeter_element(context, w) == (w in coxeter_class), w
 
 
-@pytest.mark.parametrize("family,rk", [("A", 4), ("B", 3), ("D", 4)])
+@pytest.mark.parametrize("family,rk", ORACLE_SIZES)
+def test_quasi_coxeter_test_matches_the_definition(family, rk):
+    context = ctx(family, rk)
+    for w in context.elements:
+        assert C.is_quasi_coxeter(context, w) == generates_the_group(context, w), w
+
+
+@pytest.mark.parametrize(
+    "family,rk",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)],
+)
 def test_reflection_sets_decide_parabolic_quasi_coxeter_like_the_stabilizer(family, rk):
     context = ctx(family, rk)
     for w in context.elements:
@@ -416,7 +426,7 @@ def test_factorization_reflections_stay_in_the_parabolic_closure(family, rk):
     # pointwise stabilizer of the fixed space of w
     context = ctx(family, rk)
     for w in context.elements:
-        closure = pointwise_stabilizer(context, C.fixed_space(context, w))
+        closure = pointwise_stabilizer(context, fixed_space(context, w))
         for f in C.red_t_factorizations(context, w):
             assert set(f.factors) <= closure
 
@@ -432,7 +442,7 @@ def test_single_factorization_need_not_generate_the_closure():
     spans = [C.generated_subgroup(context, list(s)) for s in factor_sets]
     assert any(used - span for span in spans for used in factor_sets)
     # the closure itself always contains everything
-    closure = pointwise_stabilizer(context, C.fixed_space(context, minus))
+    closure = pointwise_stabilizer(context, fixed_space(context, minus))
     assert all(used <= closure for used in factor_sets)
 
 
@@ -450,18 +460,6 @@ def test_below_a_quasi_coxeter_element_means_parabolic_quasi_coxeter():
     for x in context.elements:
         below_some = any(C.abs_le(context, x, w) for w in quasi)
         assert below_some == C.is_parabolic_quasi_coxeter(context, x)
-
-
-def test_lattice_basis_index_detects_sublattices():
-    basis = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    assert C.lattice_basis_index(basis, list(basis)) == 1
-    doubled = [(Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))]
-    assert C.lattice_basis_index(basis, doubled) == 2
-    dependent = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))]
-    assert C.lattice_basis_index(basis, dependent) == 0
-    not_integral = [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1))]
-    assert C.lattice_basis_index(basis, not_integral) is None
-    assert C.lattice_basis_index(basis, [basis[0]]) is None  # wrong count
 
 
 # ---------------------------------------------------------------------------
