@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -356,9 +357,20 @@ def _topo_chains(args) -> dict:
 # rmt group.
 
 
+def _nproc() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _rmt_verify(args) -> dict:
     spec = randmat.GinibreSpec(
         n=args.n, ell=args.ell, kind=args.kind, trials=args.trials, seed=args.seed
+    )
+    # Before numpy loads: BLAS threads times worker threads should not exceed
+    # the cores, or each worker's BLAS pool spins against the others.
+    os.environ.update(
+        randmat.blas_thread_budget(args.threads, os.environ, sys.modules, _nproc())
     )
     estimates = randmat.estimate_moments(spec, args.k, threads=args.threads)
     max_z = max(e.z_score for e in estimates)

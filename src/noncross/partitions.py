@@ -255,7 +255,7 @@ def meet_nc(p: NCPartition, q: NCPartition) -> NCPartition:
     groups: dict[tuple[int, int], list[int]] = {}
     for i in range(1, p.m + 1):
         groups.setdefault((pix[i], qix[i]), []).append(i)
-    return NCPartition(SetPartition(p.m, tuple(sorted(tuple(g) for g in groups.values()))))
+    return _trusted(SetPartition(p.m, tuple(sorted(tuple(g) for g in groups.values()))))
 
 
 def join_nc(p: NCPartition, q: NCPartition) -> NCPartition:
@@ -308,7 +308,7 @@ def kreweras(p: NCPartition) -> NCPartition:
             orbit.append(i)
             i = inv[i % m + 1]
         blocks.append(tuple(sorted(orbit)))
-    return NCPartition(SetPartition(m, tuple(sorted(blocks))))
+    return _trusted(SetPartition(m, tuple(sorted(blocks))))
 
 
 def rotate(p: NCPartition, k: int = 1) -> NCPartition:
@@ -317,7 +317,7 @@ def rotate(p: NCPartition, k: int = 1) -> NCPartition:
     blocks = tuple(
         sorted(tuple(sorted((e - 1 + k) % m + 1 for e in b)) for b in p.blocks)
     )
-    return NCPartition(SetPartition(m, blocks))
+    return _trusted(SetPartition(m, blocks))
 
 
 def blockwise_complement(p: NCPartition, q: NCPartition) -> tuple[int, ...]:

@@ -428,3 +428,25 @@ def closure_is_generated(ctx, w) -> bool:
     of Fix(w)."""
     generated = generated_subgroup(ctx, greedy_factorization(ctx, w))
     return generated == pointwise_stabilizer(ctx, fixed_space(ctx, w))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the Monte Carlo kernel: every power a, a^2, ..., a^k_max by
+# repeated matrix products from the identity, each trace read off the
+# diagonal.
+
+
+def matmul_trial_moments(spec, k_max: int, trial: int):
+    """tr(a^k) / n for k = 1..k_max, with a = W W* sampled as the kernel
+    samples it, by k_max full matrix products."""
+    import numpy as np
+
+    from noncross.randmat import _gram
+
+    a = _gram(spec, trial)
+    out = np.empty(k_max)
+    power = np.eye(spec.n, dtype=complex)
+    for k in range(1, k_max + 1):
+        power = power @ a
+        out[k - 1] = np.trace(power).real / spec.n
+    return out

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from noncross import cli
+from noncross import cli, randmat
 from noncross.partitions import SERIES_ORDER_CAP
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -173,11 +173,52 @@ def test_series_order_over_the_cap_exits_3():
     assert cli.run(["free", "m2c", "--moments", at_cap]).exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "flag, cap",
+    [
+        ("--n", randmat.N_CAP),
+        ("--ell", randmat.ELL_CAP),
+        ("--trials", randmat.TRIALS_CAP),
+        ("--k", randmat.K_CAP),
+        ("--threads", randmat.THREADS_CAP),
+    ],
+)
+def test_rmt_inputs_over_the_caps_exit_3(flag, cap, capsys):
+    # Each cap is checked before any sampling, so no thread starts here.
+    assert cli.main(["rmt", "verify", flag, str(cap + 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"exceeds the cap {cap}" in err
+
+
 def test_importing_the_cli_does_not_load_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, noncross.cli; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys, noncross.cli; "
+        "sys.exit('numpy' in sys.modules or 'concurrent.futures' in sys.modules)"
+    )
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
+
+
+def test_rmt_output_is_independent_of_worker_and_blas_threads():
+    # n = 128 is large enough that a threaded BLAS level-1 reduction would
+    # split its sum, so a reduction that went through one would show here.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in randmat.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-m", "noncross.cli", "rmt", "verify", "--n", "128", "--trials", "4", "--k", "6"]
+    outputs = set()
+    for threads in ("1", "2"):
+        for blas in ("1", "2"):
+            done = subprocess.run(
+                argv + ["--threads", threads],
+                env={**env, "OPENBLAS_NUM_THREADS": blas},
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 def test_help_exits_0(capsys):

@@ -100,6 +100,19 @@ def test_enumerated_partitions_are_valid_without_the_constructor_check(m):
     assert set(P.nc_ideal(NCPartition.top(m))) == set(parts)
 
 
+@pytest.mark.parametrize("m", range(0, 7))
+def test_lattice_operations_return_noncrossing_partitions(m):
+    # kreweras, rotate and meet_nc skip the crossing check of NCPartition;
+    # re-run it on every result.
+    parts = nc_all(m)
+    for p in parts:
+        assert P.is_noncrossing(P.kreweras(p).underlying)
+        for k in range(-1, m + 1):
+            assert P.is_noncrossing(P.rotate(p, k).underlying)
+        for q in parts:
+            assert P.is_noncrossing(P.meet_nc(p, q).underlying)
+
+
 def test_empty_ground_set_has_one_partition():
     assert NCPartition.top(0) == NCPartition.bottom(0)
     assert NCPartition.top(0).blocks == ()

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import matmul_trial_moments
 
 from noncross import randmat as R
-from noncross.errors import FormatError
+from noncross.errors import FormatError, ResourceCapExceeded
 from noncross.freeprob import free_bessel_moments
 
 
@@ -25,6 +26,23 @@ def test_spec_validation():
     spec = R.GinibreSpec(n=16, ell=1, kind="product", trials=4, seed=1)
     with pytest.raises(FormatError):
         R.estimate_moments(spec, 0)
+
+
+def test_inputs_over_the_caps_are_refused_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled past a cap")
+
+    monkeypatch.setattr(R, "trial_rng", no_sampling)
+    base = dict(n=8, ell=1, kind="product", trials=4, seed=0)
+    for field, cap in (("n", R.N_CAP), ("ell", R.ELL_CAP), ("trials", R.TRIALS_CAP)):
+        R.GinibreSpec(**{**base, field: cap})
+        with pytest.raises(ResourceCapExceeded):
+            R.GinibreSpec(**{**base, field: cap + 1})
+    spec = R.GinibreSpec(**base)
+    with pytest.raises(ResourceCapExceeded):
+        R.estimate_moments(spec, R.K_CAP + 1)
+    with pytest.raises(ResourceCapExceeded):
+        R.estimate_moments(spec, 2, threads=R.THREADS_CAP + 1)
 
 
 def test_z_score_conventions():
@@ -99,3 +117,29 @@ def test_stderr_shrinks_with_more_trials():
         R.GinibreSpec(n=32, ell=1, kind="product", trials=40, seed=9), 2
     )
     assert big[1].stderr < small[1].stderr
+
+
+@pytest.mark.parametrize("kind", R.KINDS)
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_half_power_kernel_matches_the_full_power_oracle(kind, ell, n):
+    # k = 1 is the same diagonal sum; k >= 2 pairs two half powers, which
+    # reorders the floating-point sums, so it agrees to a tolerance.
+    spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=2, seed=n + 10 * ell)
+    for k_max in range(1, 9):
+        for trial in range(2):
+            got = R._trial_moments(spec, k_max, trial)
+            want = matmul_trial_moments(spec, k_max, trial)
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+
+
+def test_blas_thread_budget_splits_the_cores_and_defers_to_the_user():
+    share = {var: "2" for var in R.BLAS_THREAD_VARS}
+    assert R.blas_thread_budget(2, {}, {}, nproc=4) == share
+    assert R.blas_thread_budget(8, {}, {}, nproc=4) == {var: "1" for var in R.BLAS_THREAD_VARS}
+    assert R.blas_thread_budget(1, {}, {}, nproc=4) == {}
+    user = {"OMP_NUM_THREADS": "3"}
+    budget = R.blas_thread_budget(2, user, {}, nproc=4)
+    assert "OMP_NUM_THREADS" not in budget and budget["OPENBLAS_NUM_THREADS"] == "2"
+    assert R.blas_thread_budget(2, {}, {"numpy": np}, nproc=4) == {}
