@@ -104,11 +104,10 @@ def _seq_payload(op: str, seq, **extra) -> dict:
 
 
 def _nc_count(args) -> dict:
-    count = sum(1 for _ in partitions.iter_nc(args.m))
     return {
         "kind": "nc_count",
         "m": args.m,
-        "count": count,
+        "count": partitions.count_nc(args.m),
         "catalan": partitions.catalan(args.m),
     }
 

@@ -22,13 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import FormatError, NotComparable
-from .partitions import (
-    NCPartition,
-    _ideal_blocklists,
-    enumerate_nc,
-    interval,
-    rank,
-)
+from .partitions import NCPartition, _Above, enumerate_nc, interval, rank
 
 
 @dataclass(frozen=True)
@@ -79,16 +73,17 @@ def _chain_scan(above: list[list[int]]) -> list[int]:
 def order_complex_open_interval(p: NCPartition, q: NCPartition) -> SimplicialComplex:
     """The order complex of {w : p < w < q}, by its f-vector.
 
-    The elements below each w come from its ideal, generated blockwise, so
+    The elements below each w come from [p, w], walked blockwise from p, so
     no pairwise comparison over the interval is needed.
     """
     if p == q:
         raise NotComparable("open interval needs p strictly below q")
     elems = interval(p, q)[1:-1]
-    index = {w.blocks: i for i, w in enumerate(elems)}
+    walk = _Above(p)
+    index = {walk.key(w.blocks): i for i, w in enumerate(elems)}
     above: list[list[int]] = [[] for _ in elems]
     for j, w in enumerate(elems):
-        for v in _ideal_blocklists(w):
+        for v in walk.interval_keys(w.blocks):
             i = index.get(v)
             if i is not None and i != j:
                 above[i].append(j)

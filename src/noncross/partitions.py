@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -36,9 +36,6 @@ DEFAULT_ENUM_CAP = 12
 ENUM_CAP_ENV = "NONCROSS_CAP"
 # Largest truncation order of the exact series transforms in freeprob.
 SERIES_ORDER_CAP = 60
-
-# Ground sets of at most this size keep their full NC enumeration cached.
-_CACHE_LIMIT = 10
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -334,7 +331,7 @@ def blockwise_complement(p: NCPartition, q: NCPartition) -> tuple[int, ...]:
     for B in q.blocks:
         pos = {e: i + 1 for i, e in enumerate(B)}
         sub_blocks = [tuple(pos[e] for e in pb) for pb in p.blocks if pb[0] in pos]
-        sub = NCPartition(SetPartition(len(B), tuple(sorted(sub_blocks))))
+        sub = _trusted(SetPartition(len(B), tuple(sub_blocks)))
         sizes.extend(len(c) for c in kreweras(sub).blocks)
     return tuple(sorted(sizes, reverse=True))
 
@@ -354,71 +351,69 @@ def mobius_closed(p: NCPartition, q: NCPartition) -> int:
 # ---------------------------------------------------------------------------
 # Enumeration.
 #
-# Partitions are generated in lexicographic order of their canonical block
-# tuples.  The recursion picks the block of the smallest element; the other
-# elements split into the gaps between consecutive members of that block,
-# each carrying an independent non-crossing partition.
+# NC(elems), for an ascending label tuple elems, is generated over its own
+# labels in lexicographic order of canonical block tuples.  The block b1 of
+# the smallest label takes each subset of the other labels in lex order; the
+# rest fall into the gaps between consecutive members of b1, each gap a run
+# of consecutive entries of elems with its own non-crossing partition.  The
+# blocks of an earlier gap have smaller minima than those of a later one, so
+# b1 then each gap's blocks in gap order is already canonical: no sort.  The
+# first gap's lists are streamed outermost, and the later gaps' lists, held
+# while b1 is fixed, run inside them in gap order, which is lex order.  Only
+# label tuples of at most _SHORT labels keep their lists, at most C_7 = 429
+# each, in a process-wide cache.  Its keys are sets of at most 7 labels from
+# 1..m, m under the enumeration cap; over NC(m) they are runs of consecutive
+# labels, at most 7m + 1 of them.
+
+_SHORT = 7
 
 
-def _lex_subsets(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All subsets of an ascending tuple, as ascending tuples in lex order."""
+def _index_subsets(lo: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Ascending tuples drawn from lo..n-1, in lexicographic order."""
     yield ()
-    for i in range(len(elems)):
-        for tail in _lex_subsets(elems[i + 1 :]):
-            yield (elems[i],) + tail
+    for i in range(lo, n):
+        for tail in _index_subsets(i + 1, n):
+            yield (i,) + tail
 
 
-def _build_blocklists(elems: tuple[int, ...]) -> Iterator[Blocks]:
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for sub in _lex_subsets(rest):
-        b1 = (first,) + sub
-        in_sub = set(sub)
-        gaps: list[list[int]] = [[] for _ in range(len(sub) + 1)]
-        g = 0
-        for e in rest:
-            if e in in_sub:
-                g += 1
-            else:
-                gaps[g].append(e)
-        gap_lists = [list(_iter_blocklists(tuple(gap))) for gap in gaps]
-        for combo in product(*gap_lists):
-            out = [b1]
-            for part in combo:
-                out.extend(part)
-            yield tuple(sorted(out))
-
-
-def _relabel(blocklist: Blocks, elems: tuple[int, ...]) -> Blocks:
-    at = (0, *elems).__getitem__
-    return tuple([tuple(map(at, b)) for b in blocklist])
+def _blocklists(elems: tuple[int, ...]) -> Iterable[Blocks]:
+    """Canonical non-crossing block lists over elems, in lexicographic order:
+    streamed for long tuples, cached for short ones."""
+    return _generate(elems) if len(elems) > _SHORT else _short_blocklists(elems)
 
 
 @cache
-def _nc_blocklists(k: int) -> tuple[Blocks, ...]:
-    """All non-crossing block lists over 1..k, lex ordered (cached for small k)."""
-    return tuple(_build_blocklists(tuple(range(1, k + 1))))
+def _short_blocklists(elems: tuple[int, ...]) -> tuple[Blocks, ...]:
+    return tuple(_generate(elems))
 
 
-def _iter_blocklists(elems: tuple[int, ...]) -> Iterator[Blocks]:
-    if len(elems) <= _CACHE_LIMIT:
-        if elems == tuple(range(1, len(elems) + 1)):
-            yield from _nc_blocklists(len(elems))
-        else:
-            for bl in _nc_blocklists(len(elems)):
-                yield _relabel(bl, elems)
-    else:
-        yield from _build_blocklists(elems)
+def _generate(elems: tuple[int, ...]) -> Iterator[Blocks]:
+    n = len(elems)
+    if not n:
+        yield ()
+        return
+    for picks in _index_subsets(1, n):
+        b1 = (elems[0], *[elems[i] for i in picks])
+        cuts = (0, *picks, n)
+        gaps = [elems[a + 1 : b] for a, b in zip(cuts, cuts[1:]) if b > a + 1] or [()]
+        tails: list[Blocks] = [()]
+        for gap in gaps[1:]:
+            lists = tuple(_blocklists(gap))
+            tails = [t + bl for t in tails for bl in lists]
+        for bl in _blocklists(gaps[0]):
+            yield from map((b1, *bl).__add__, tails)
+
+
+def _nc_blocklists(m: int, cap: int | None) -> Iterable[Blocks]:
+    if m < 0:
+        raise FormatError("m must be non-negative")
+    _check_cap(m, cap)
+    return _blocklists(tuple(range(1, m + 1)))
 
 
 def iter_nc(m: int, cap: int | None = None) -> Iterator[NCPartition]:
     """Stream NC(m) in lexicographic order of canonical block tuples."""
-    if m < 0:
-        raise FormatError("m must be non-negative")
-    _check_cap(m, cap)
-    for bl in _iter_blocklists(tuple(range(1, m + 1))):
+    for bl in _nc_blocklists(m, cap):
         yield _trusted(SetPartition(m, bl))
 
 
@@ -427,20 +422,46 @@ def enumerate_nc(m: int, cap: int | None = None) -> list[NCPartition]:
     return list(iter_nc(m, cap))
 
 
-def _ideal_blocklists(q: NCPartition) -> Iterator[Blocks]:
-    """Block lists of all refinements of q: independent partitions per block."""
-    per_block = [list(_iter_blocklists(B)) for B in q.blocks]
-    for combo in product(*per_block):
-        out: list[tuple[int, ...]] = []
-        for part in combo:
-            out.extend(part)
-        yield tuple(sorted(out))
+def count_nc(m: int, cap: int | None = None) -> int:
+    """|NC(m)|, counted over the enumeration without building partitions."""
+    return sum(1 for _ in _nc_blocklists(m, cap))
 
 
-def nc_ideal(q: NCPartition) -> Iterator[NCPartition]:
-    """All refinements of q (its order ideal)."""
-    for blocks in _ideal_blocklists(q):
-        yield _trusted(SetPartition(q.m, blocks))
+class _Above:
+    """Walks intervals [p, w] upward from p, one block C of w at a time:
+    p <= w holds blockwise, so [p, w] is the product of the members of NC(C)
+    above p restricted to C.  A partition's key sums s * (m + 1)^i over each
+    label i whose block goes on to s; the digits make keys distinct, and a
+    product's key is the sum of its factors' keys, so no tuple is sorted."""
+
+    def __init__(self, p: NCPartition):
+        self._pix = p.underlying.index_map()
+        power = [(p.m + 1) ** i for i in range(p.m + 1)]
+        self._block_key = cache(lambda b: sum(s * power[a] for a, s in zip(b, b[1:])))
+        self._keys: dict[tuple[int, ...], list[int]] = {}
+
+    def coarsenings(self, C: tuple[int, ...]) -> Iterable[Blocks]:
+        """Members of NC(C) above p restricted to C, C a union of p's blocks."""
+        pix = self._pix
+        parts = len({pix[e] for e in C})
+        lists = _blocklists(C)
+        if parts == len(C):
+            return lists
+        # above p iff no block of p meets two of its blocks
+        return (bl for bl in lists if sum(len({pix[e] for e in b}) for b in bl) == parts)
+
+    def key(self, blocks: Blocks) -> int:
+        return sum(map(self._block_key, blocks))
+
+    def interval_keys(self, blocks: Blocks) -> list[int]:
+        """Keys of every v with p <= v <= w, for w given by its blocks."""
+        out = [0]
+        for C in blocks:
+            keys = self._keys.get(C)
+            if keys is None:
+                keys = self._keys[C] = list(map(self.key, self.coarsenings(C)))
+            out = [a + k for a in out for k in keys]
+        return out
 
 
 def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
@@ -449,23 +470,26 @@ def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
     if not refine_le(p, q):
         raise NotComparable(f"{p} is not a refinement of {q}")
     _check_cap(q.m, None)
-    elems = [w for w in nc_ideal(q) if refine_le(p, w)]
+    walk = _Above(p)
+    elems = [
+        _trusted(SetPartition(q.m, tuple(sorted(chain.from_iterable(combo)))))
+        for combo in product(*[tuple(walk.coarsenings(B)) for B in q.blocks])
+    ]
     elems.sort(key=lambda w: (rank(w), w.blocks))
     return elems
 
 
 def mobius_nc(p: NCPartition, q: NCPartition) -> int:
     """Mobius value by the defining recursion: mu(p, p) = 1 and, for p < q,
-    mu(p, q) = -sum of mu(p, w) over p <= w < q.
+    mu(p, q) = -sum of mu(p, v) over p <= v < q.
 
     Values mu(p, w) are accumulated upward in rank order; each step sums over
-    the ideal of w, generated blockwise, so no global comparability scan is
-    needed.
+    [p, w], walked blockwise from p, so no comparability scan is needed.
     """
-    mu: dict[Blocks, int] = {}
+    walk = _Above(p)
+    mu: dict[int, int] = {}
     for w in interval(p, q):
-        if w == p:
-            mu[w.blocks] = 1
-            continue
-        mu[w.blocks] = -sum(mu.get(v, 0) for v in _ideal_blocklists(w) if v != w.blocks)
-    return mu[q.blocks]
+        k = walk.key(w.blocks)
+        mu[k] = 0  # leaves w out of its own sum
+        mu[k] = 1 if w == p else -sum(map(mu.__getitem__, walk.interval_keys(w.blocks)))
+    return mu[walk.key(q.blocks)]

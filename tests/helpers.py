@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from noncross.coxeter import generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError, OrderMismatch
@@ -251,6 +251,55 @@ def nc_pair_count(n: int) -> int:
     if n % 2:
         return 0
     return sum(nc_pair_count(inside) * nc_pair_count(n - 2 - inside) for inside in range(0, n - 1, 2)) if n else 1
+
+
+# ---------------------------------------------------------------------------
+# Order oracle for the enumeration: the relabeling enumerator.  It builds the
+# block lists of NC(k) over 1..k once per k, relabels them onto each gap and
+# sorts every result, so it shares neither the streaming nor the canonical
+# concatenation with the library's generator.
+
+
+def _lex_subsets(elems: tuple[int, ...]):
+    yield ()
+    for i in range(len(elems)):
+        for tail in _lex_subsets(elems[i + 1 :]):
+            yield (elems[i],) + tail
+
+
+@cache
+def _relabeled_lists(k: int) -> tuple[Blocks, ...]:
+    return tuple(_relabeled_build(tuple(range(1, k + 1))))
+
+
+def _relabeled_build(elems: tuple[int, ...]):
+    if not elems:
+        yield ()
+        return
+    first, rest = elems[0], elems[1:]
+    for sub in _lex_subsets(rest):
+        in_sub = set(sub)
+        gaps: list[list[int]] = [[] for _ in range(len(sub) + 1)]
+        g = 0
+        for e in rest:
+            if e in in_sub:
+                g += 1
+            else:
+                gaps[g].append(e)
+        gap_lists = [
+            [tuple(tuple(gap[i - 1] for i in b) for b in bl) for bl in _relabeled_lists(len(gap))]
+            for gap in gaps
+        ]
+        for combo in product(*gap_lists):
+            out = [(first,) + sub]
+            for part in combo:
+                out.extend(part)
+            yield tuple(sorted(out))
+
+
+def relabeled_nc_blocklists(m: int) -> tuple[Blocks, ...]:
+    """NC(m) as canonical block tuples in lexicographic order."""
+    return _relabeled_lists(m)
 
 
 # ---------------------------------------------------------------------------

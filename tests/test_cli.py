@@ -125,6 +125,21 @@ def test_unknown_command_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "cap,m,code,count",
+    [(None, -1, 2, None), ("4", 5, 3, None), (None, 0, 0, 1), ("5", 5, 0, 42)],
+)
+def test_nc_count_edges(monkeypatch, capsys, cap, m, code, count):
+    if cap is not None:
+        monkeypatch.setenv("NONCROSS_CAP", cap)
+    assert cli.main(["nc", "count", "--m", str(m)]) == code
+    out, err = capsys.readouterr()
+    if count is None:
+        assert out == "" and err.strip() and "Traceback" not in err
+    else:
+        assert json.loads(out)["count"] == count and err == ""
+
+
 def test_resource_caps_exit_3(monkeypatch):
     monkeypatch.setenv("NONCROSS_CAP", "4")
     assert cli.run(["nc", "count", "--m", "6"]).exit_code == 3

@@ -75,7 +75,7 @@ def test_f_vectors_match_brute_force_chains(m):
 @pytest.mark.parametrize("m", range(2, 6))
 def test_euler_characteristic_equals_mobius_on_every_interval(m):
     for q in nc_all(m):
-        for p in P.nc_ideal(q):
+        for p in P.interval(NCPartition.bottom(m), q):
             if p == q:
                 continue
             k = X.order_complex_open_interval(p, q)

@@ -15,7 +15,9 @@ from helpers import (
     brute_join,
     brute_meet,
     has_crossing_quadruple,
+    le_matrix,
     nc_all,
+    relabeled_nc_blocklists,
 )
 from noncross import partitions as P
 from noncross.errors import (
@@ -86,18 +88,24 @@ def test_noncrossing_test_matches_oracle_on_random_large_partitions():
 @pytest.mark.parametrize("m", range(0, 10))
 def test_enumeration_count_is_catalan(m):
     assert len(nc_all(m)) == CATALAN[m]
+    assert P.count_nc(m) == CATALAN[m]
+
+
+@pytest.mark.parametrize("m", range(0, 12))
+def test_enumeration_order_matches_the_relabeling_oracle(m):
+    assert tuple(p.blocks for p in P.iter_nc(m)) == relabeled_nc_blocklists(m)
 
 
 @pytest.mark.parametrize("m", range(0, 10))
 def test_enumerated_partitions_are_valid_without_the_constructor_check(m):
-    # iter_nc and nc_ideal skip the crossing check of NCPartition; re-run it.
+    # iter_nc and interval skip the crossing check of NCPartition; re-run it.
     parts = list(P.iter_nc(m))
     assert len(parts) == len(set(parts)) == CATALAN[m]
     for p in parts:
         assert sorted(x for b in p.blocks for x in b) == list(range(1, m + 1))
         assert P.is_noncrossing(p.underlying)
         assert p == NCPartition.of(m, p.blocks)
-    assert set(P.nc_ideal(NCPartition.top(m))) == set(parts)
+    assert set(P.interval(NCPartition.bottom(m), NCPartition.top(m))) == set(parts)
 
 
 @pytest.mark.parametrize("m", range(0, 7))
@@ -257,7 +265,7 @@ def test_full_interval_mobius_value(m):
 @pytest.mark.parametrize("m", range(1, 6))
 def test_mobius_recursion_matches_closed_form_on_all_intervals(m):
     for q in nc_all(m):
-        for p in P.nc_ideal(q):
+        for p in P.interval(NCPartition.bottom(m), q):
             assert P.mobius_nc(p, q) == P.mobius_closed(p, q)
 
 
@@ -270,18 +278,19 @@ def test_mobius_recursion_sums_to_zero_on_proper_intervals():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_ideal_and_interval_match_filters(m):
+    # every q, and every p <= q, against the refinement matrix
     elems = nc_all(m)
-    rng = random.Random(m + 100)
-    for q in rng.sample(elems, min(6, len(elems))):
-        ideal = sorted(P.nc_ideal(q), key=lambda w: w.blocks)
-        expect = sorted(
-            (w for w in elems if P.refine_le(w, q)), key=lambda w: w.blocks
+    le = le_matrix(elems)
+    bottom = NCPartition.bottom(m)
+    for j, q in enumerate(elems):
+        ideal = [i for i in range(len(elems)) if le[i][j]]
+        assert P.interval(bottom, q) == sorted(
+            (elems[i] for i in ideal), key=lambda w: (P.rank(w), w.blocks)
         )
-        assert ideal == expect
-        for p in rng.sample(ideal, min(3, len(ideal))):
-            box = P.interval(p, q)
+        for i in ideal:
+            box = P.interval(elems[i], q)
             assert box == sorted(
-                (w for w in elems if P.refine_le(p, w) and P.refine_le(w, q)),
+                (elems[k] for k in ideal if le[i][k]),
                 key=lambda w: (P.rank(w), w.blocks),
             )
 
