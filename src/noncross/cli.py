@@ -428,76 +428,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     groups = parser.add_subparsers(dest="group", required=True)
 
-    class Leaves:
-        """add_parser that quietly attaches the shared trailing options."""
-
-        def __init__(self, action):
-            self.action = action
-
-        def add_parser(self, name: str, **kwargs) -> argparse.ArgumentParser:
-            kwargs.setdefault("parents", [common])
-            return self.action.add_parser(name, **kwargs)
-
-    def group_of(name: str, help_text: str) -> Leaves:
+    def group_of(name: str, help_text: str):
         sub = groups.add_parser(name, help=help_text)
-        return Leaves(sub.add_subparsers(dest="command", required=True))
+        return sub.add_subparsers(dest="command", required=True)
+
+    def leaf(group, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+        """A subcommand of group that runs handler and takes the shared options."""
+        sub = group.add_parser(name, help=help_text, parents=[common])
+        sub.set_defaults(handler=handler)
+        return sub
 
     nc = group_of("nc", "non-crossing partition lattice")
-    sub = nc.add_parser("count", help="|NC(m)| by enumeration, next to C_m")
+    sub = leaf(nc, "count", _nc_count, "|NC(m)| by enumeration, next to C_m")
     sub.add_argument("--m", type=int, required=True)
-    sub.set_defaults(handler=_nc_count)
-    sub = nc.add_parser("list", help="all of NC(m) in lexicographic order")
+    sub = leaf(nc, "list", _nc_list, "all of NC(m) in lexicographic order")
     sub.add_argument("--m", type=int, required=True)
-    sub.set_defaults(handler=_nc_list)
-    sub = nc.add_parser("kreweras", help="Kreweras complement")
+    sub = leaf(nc, "kreweras", _nc_op, "Kreweras complement")
     sub.add_argument("--p", required=True)
-    sub.set_defaults(handler=_nc_op)
-    sub = nc.add_parser("rotate", help="cyclic relabeling i -> i+k")
+    sub = leaf(nc, "rotate", _nc_op, "cyclic relabeling i -> i+k")
     sub.add_argument("--p", required=True)
     sub.add_argument("--k", type=int, default=1)
-    sub.set_defaults(handler=_nc_op)
-    sub = nc.add_parser("meet", help="greatest lower bound")
+    sub = leaf(nc, "meet", _nc_op, "greatest lower bound")
     sub.add_argument("--p", required=True)
     sub.add_argument("--q", required=True)
-    sub.set_defaults(handler=_nc_op)
-    sub = nc.add_parser("join", help="least upper bound (crossing closure)")
+    sub = leaf(nc, "join", _nc_op, "least upper bound (crossing closure)")
     sub.add_argument("--p", required=True)
     sub.add_argument("--q", required=True)
-    sub.set_defaults(handler=_nc_op)
-    sub = nc.add_parser("mobius", help="Mobius value: recursion and closed form")
+    sub = leaf(nc, "mobius", _nc_mobius, "Mobius value: recursion and closed form")
     sub.add_argument("--p")
     sub.add_argument("--q")
     sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
-    sub.set_defaults(handler=_nc_mobius)
 
     free = group_of("free", "moment/cumulant calculus")
-    sub = free.add_parser("m2c", help="moments to free cumulants")
+    sub = leaf(free, "m2c", _free_m2c, "moments to free cumulants")
     sub.add_argument("--moments", required=True, help='comma list, e.g. "1,2,5,14"')
-    sub.set_defaults(handler=_free_m2c)
-    sub = free.add_parser("c2m", help="free cumulants to moments")
+    sub = leaf(free, "c2m", _free_c2m, "free cumulants to moments")
     sub.add_argument("--cumulants", required=True)
-    sub.set_defaults(handler=_free_c2m)
-    sub = free.add_parser("add", help="additive free convolution of moment lists")
+    sub = leaf(free, "add", _free_add, "additive free convolution of moment lists")
     sub.add_argument("--a", required=True)
     sub.add_argument("--b", required=True)
-    sub.set_defaults(handler=_free_add)
-    sub = free.add_parser("mult", help="multiplicative free convolution")
+    sub = leaf(free, "mult", _free_mult, "multiplicative free convolution")
     sub.add_argument("--a", required=True)
     sub.add_argument("--b", required=True)
     sub.add_argument("--route", choices=("kreweras", "stransform"), default="stransform")
-    sub.set_defaults(handler=_free_mult)
-    sub = free.add_parser("law", help="moments of a named law")
+    sub = leaf(free, "law", _free_law, "moments of a named law")
     sub.add_argument("--name", choices=_LAWS, required=True)
     sub.add_argument("--order", type=int, required=True)
     sub.add_argument("--ell", type=int)
-    sub.set_defaults(handler=_free_law)
-    sub = free.add_parser("clt", help="exact moments of a rescaled free sum")
+    sub = leaf(free, "clt", _free_clt, "exact moments of a rescaled free sum")
     sub.add_argument("--base", required=True, help="base cumulants, comma list")
     sub.add_argument("--n", type=int, required=True, help="number of summands")
     sub.add_argument(
         "--even", action="store_true", help="even moments only (rational for any n)"
     )
-    sub.set_defaults(handler=_free_clt)
 
     cox = group_of("cox", "dual Coxeter systems")
 
@@ -518,45 +501,33 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=caps.DEFAULT_FACTORIZATION_RANK_CAP,
             )
 
-    sub = cox.add_parser("ncset", help="the absolute-order ideal below c")
-    cox_common(sub)
-    sub.set_defaults(handler=_cox_ncset)
-    sub = cox.add_parser("nccount", help="|NC(W, c)| (optionally lattice-check)")
+    cox_common(leaf(cox, "ncset", _cox_ncset, "the absolute-order ideal below c"))
+    sub = leaf(cox, "nccount", _cox_nccount, "|NC(W, c)| (optionally lattice-check)")
     cox_common(sub)
     sub.add_argument("--lattice", action="store_true")
-    sub.set_defaults(handler=_cox_nccount)
-    sub = cox.add_parser("redt", help="reduced reflection factorizations")
+    sub = leaf(cox, "redt", _cox_redt, "reduced reflection factorizations")
     cox_common(sub, factorizations=True)
-    sub.set_defaults(handler=_cox_redt)
-    sub = cox.add_parser("hurwitz", help="braid-move orbits on factorizations")
+    sub = leaf(cox, "hurwitz", _cox_hurwitz, "braid-move orbits on factorizations")
     cox_common(sub, factorizations=True)
-    sub.set_defaults(handler=_cox_hurwitz)
-    sub = cox.add_parser("quasicox", help="quasi-Coxeter / parabolic tests")
-    cox_common(sub)
-    sub.set_defaults(handler=_cox_quasicox)
-    sub = cox.add_parser("dualrel", help="dual braid relations at c")
-    cox_common(sub)
-    sub.set_defaults(handler=_cox_dualrel)
+    cox_common(leaf(cox, "quasicox", _cox_quasicox, "quasi-Coxeter / parabolic tests"))
+    cox_common(leaf(cox, "dualrel", _cox_dualrel, "dual braid relations at c"))
 
     topo = group_of("topo", "order complexes")
-    sub = topo.add_parser("euler", help="reduced Euler characteristic vs Mobius")
+    sub = leaf(topo, "euler", _topo_euler, "reduced Euler characteristic vs Mobius")
     sub.add_argument("--p")
     sub.add_argument("--q")
     sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
-    sub.set_defaults(handler=_topo_euler)
-    sub = topo.add_parser("chains", help="maximal-chain census of NC(m)")
+    sub = leaf(topo, "chains", _topo_chains, "maximal-chain census of NC(m)")
     sub.add_argument("--m", type=int, required=True)
-    sub.set_defaults(handler=_topo_chains)
 
     rmt = group_of("rmt", "random-matrix cross-check")
-    sub = rmt.add_parser("verify", help="Monte Carlo moments vs exact targets")
+    sub = leaf(rmt, "verify", _rmt_verify, "Monte Carlo moments vs exact targets")
     sub.add_argument("--kind", choices=caps.KINDS, default="product")
     sub.add_argument("--ell", type=int, default=1)
     sub.add_argument("--k", type=int, default=4, help="largest moment order")
     sub.add_argument("--n", type=int, default=256, help="matrix size")
     sub.add_argument("--trials", type=int, default=50)
     sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(handler=_rmt_verify)
 
     return parser
 

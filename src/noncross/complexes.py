@@ -11,8 +11,8 @@ Chain statistics over the full lattice come from the cover relation, which
 is structural: a cover of p merges two of its blocks, and it lies in NC(m)
 exactly when the merged partition is non-crossing, i.e. found in an index of
 the enumerated lattice.  The maximal-chain length census falls out of a path
-count over the covers; gradedness, the rank steps and the reach of every
-element are read off the same paths.
+count over the covers; gradedness and the rank steps are read off the same
+paths, and whether every element lies on a maximal chain off the covers.
 """
 
 from __future__ import annotations
@@ -142,27 +142,14 @@ def chain_census(m: int) -> dict:
                 counts[j][length + 1] = counts[j].get(length + 1, 0) + num
     lengths = dict(sorted(counts[top].items()))
 
-    up_reach = {bottom}
-    stack = [bottom]
-    while stack:
-        i = stack.pop()
-        for j in covers[i]:
-            if j not in up_reach:
-                up_reach.add(j)
-                stack.append(j)
-    down_reach = {top}
-    stack = [top]
-    parents = [[] for _ in range(n)]
-    for i in range(n):
-        for j in covers[i]:
-            parents[j].append(i)
-    while stack:
-        j = stack.pop()
-        for i in parents[j]:
-            if i not in down_reach:
-                down_reach.add(i)
-                stack.append(i)
-    all_on_chains = up_reach == set(range(n)) and down_reach == set(range(n))
+    # Every cover merges two blocks, so a walk down covers ends at an element
+    # covering nothing and a walk up at one covered by nothing: every element
+    # lies on a maximal chain iff only the bottom covers nothing and only the
+    # top is covered by nothing.
+    covered = {j for up in covers for j in up}
+    all_on_chains = len(covered | {bottom}) == n and all(
+        up or i == top for i, up in enumerate(covers)
+    )
 
     graded = rank_steps_ok and all_on_chains and set(lengths) == {m - 1}
     return {

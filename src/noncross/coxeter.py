@@ -35,7 +35,7 @@ from .errors import (
     NotBelowCoxeterElement,
     ResourceCapExceeded,
 )
-from .partitions import NCPartition, SetPartition, _cycle_map
+from .partitions import NCPartition, _cycle_map
 
 Window = tuple[int, ...]
 
@@ -399,26 +399,25 @@ def nc_lattice_check(elems: list[Window]) -> bool:
     """Exhaustively verify that NC(W, c), given as `nc_set` returns it, is a
     lattice: it has a top and every pair has a meet.
 
-    In a finite poset with a top that suffices, since the join of x and y is
-    the meet of their common upper bounds.
+    The ideal of v is the bitset of the u <= v.  The common lower bounds of
+    x and y are the AND of their ideals, and x and y have a meet z exactly
+    when that AND is the ideal of z; likewise a top is an element whose
+    ideal is everything.  In a finite poset with a top that suffices, since
+    the join of x and y is the meet of their common upper bounds.
     """
     lengths = [_reflection_length(u) for u in elems]
-    le = [
-        [
-            u == v or lu < lv and lu + _reflection_length(mul(inv(u), v)) == lv
-            for v, lv in zip(elems, lengths)
-        ]
-        for u, lu in zip(elems, lengths)
-    ]
-    n = len(elems)
-    if not any(all(row[z] for row in le) for z in range(n)):
+    inverses = [inv(u) for u in elems]
+    ideals = []
+    for v, lv in zip(elems, lengths):
+        bits = 0
+        for k, (u, lu) in enumerate(zip(elems, lengths)):
+            if u == v or lu < lv and lu + _reflection_length(mul(inverses[k], v)) == lv:
+                bits |= 1 << k
+        ideals.append(bits)
+    known = set(ideals)
+    if (1 << len(elems)) - 1 not in known:
         return False
-    for i in range(n):
-        for j in range(i, n):
-            lower = [k for k in range(n) if le[k][i] and le[k][j]]
-            if not any(all(le[x][z] for x in lower) for z in lower):
-                return False
-    return True
+    return all(a & b in known for i, a in enumerate(ideals) for b in ideals[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,7 @@ def permutation_to_partition(ctx: CoxeterContext, w: Window, c: Window | None = 
             f"{list(w)} is not below the reference Coxeter element"
         )
     orbits = {tuple(sorted(_closure([i], lambda x: [w[x - 1]]))) for i in range(1, ctx.n + 1)}
-    return NCPartition(SetPartition(ctx.n, tuple(sorted(orbits))))
+    return NCPartition.of(ctx.n, orbits)
 
 
 # ---------------------------------------------------------------------------

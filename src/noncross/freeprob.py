@@ -29,7 +29,7 @@ from .errors import (
     VanishingFirstMoment,
 )
 from .partitions import _check_cap, catalan, iter_nc, kreweras
-from .series import RationalSeries, Rat, _frac, _power_columns, parse_rationals
+from .series import RationalSeries, Rat, _check_printable, _frac, _power_columns, parse_rationals
 
 
 class _Sequence(Frozen):
@@ -134,6 +134,7 @@ def _solve_moment_cumulant(
     _check_order(order)
     moments = [] if from_cumulants else values
     kappa = values if from_cumulants else []
+    solved = moments if from_cumulants else kappa
     u = [Fraction(0)] * (order + 1)  # u_1 = 1, u_{n+1} = m_n
     u[1] = Fraction(1)
     for n, column in enumerate(_power_columns(u), start=1):
@@ -145,9 +146,10 @@ def _solve_moment_cumulant(
             moments.append(partial + kappa[n - 1])
         else:
             kappa.append(moments[n - 1] - partial)
+        _check_printable(n, solved[-1])
         if n < order:
             u[n + 1] = moments[n - 1]
-    return tuple(moments if from_cumulants else kappa)
+    return tuple(solved)
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:

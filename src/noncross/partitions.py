@@ -4,9 +4,11 @@ A partition is stored canonically: every block is an ascending tuple and the
 blocks are ordered by their minima.  A partition is *non-crossing* when there
 are no four points a < b < c < d with a, c in one block and b, d in another
 (the picture: chords drawn inside a disk with 1..m on the boundary never
-cross).  Under refinement these partitions form a graded lattice NC(m) with
-|NC(m)| the Catalan number C_m.  NC(m) inherits its meet from the full
-partition lattice but *not* its join, which must be re-closed under crossings.
+cross).  An :class:`NCPartition` is a :class:`SetPartition` whose checked
+constructors also reject crossings.  Under refinement these partitions form
+a graded lattice NC(m) with |NC(m)| the Catalan number C_m.  NC(m) inherits
+its meet from the full partition lattice but *not* its join, which must be
+re-closed under crossings.
 
 The Kreweras complement is computed through the cycle correspondence: send a
 partition p to the permutation s_p that cycles each block upward; the blocks
@@ -81,16 +83,15 @@ class SetPartition(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "blocks", blocks)
 
-    @staticmethod
-    def of(m: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
+    @classmethod
+    def of(cls, m: int, blocks: Iterable[Iterable[int]]):
         """Canonicalize and validate a block family covering 1..m exactly once."""
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks if b))
-        p = SetPartition(m, canon)
+        p = cls(m, tuple(sorted(tuple(sorted(b)) for b in blocks if b)))
         p._validate()
         return p
 
-    @staticmethod
-    def parse(text: str) -> "SetPartition":
+    @classmethod
+    def parse(cls, text: str):
         """Parse the pipe format, e.g. ``"1|2 6 7|3 5|4|8"``.
 
         Blocks are separated by ``|`` and elements by whitespace; every
@@ -102,8 +103,7 @@ class SetPartition(Frozen):
             raise FormatError(f"cannot parse partition {text!r}") from None
         if any(not b for b in blocks):
             raise FormatError(f"partition {text!r} has an empty block")
-        m = sum(len(b) for b in blocks)
-        return SetPartition.of(m, blocks)
+        return cls.of(sum(len(b) for b in blocks), blocks)
 
     def _validate(self) -> None:
         seen: set[int] = set()
@@ -162,65 +162,33 @@ def is_noncrossing(p: SetPartition) -> bool:
     return True
 
 
-class NCPartition(Frozen):
-    """A non-crossing partition; wraps a canonical :class:`SetPartition`."""
+class NCPartition(SetPartition):
+    """A set partition without crossings.
 
-    __slots__ = _fields = ("underlying",)
+    :meth:`of`, :meth:`parse`, :meth:`bottom` and :meth:`top` reject
+    crossings as well; the raw constructor trusts its arguments.  It never
+    compares equal to a plain :class:`SetPartition` of the same blocks.
+    """
 
-    def __init__(self, underlying: SetPartition):
-        if not is_noncrossing(underlying):
-            raise CrossingPartition(f"partition {underlying} has a crossing")
-        object.__setattr__(self, "underlying", underlying)
+    __slots__ = ()
 
-    @staticmethod
-    def of(m: int, blocks: Iterable[Iterable[int]]) -> "NCPartition":
-        return NCPartition(SetPartition.of(m, blocks))
+    def _validate(self) -> None:
+        super()._validate()
+        if not is_noncrossing(self):
+            raise CrossingPartition(f"partition {self} has a crossing")
 
-    @staticmethod
-    def parse(text: str) -> "NCPartition":
-        return NCPartition(SetPartition.parse(text))
-
-    @staticmethod
-    def bottom(m: int) -> "NCPartition":
+    @classmethod
+    def bottom(cls, m: int) -> "NCPartition":
         """The discrete partition into singletons."""
-        return NCPartition(SetPartition(m, tuple((i,) for i in range(1, m + 1))))
+        return cls.of(m, ((i,) for i in range(1, m + 1)))
 
-    @staticmethod
-    def top(m: int) -> "NCPartition":
+    @classmethod
+    def top(cls, m: int) -> "NCPartition":
         """The one-block partition (no blocks when m = 0, like the bottom)."""
-        return NCPartition(SetPartition(m, (tuple(range(1, m + 1)),) if m else ()))
-
-    @property
-    def m(self) -> int:
-        return self.underlying.m
-
-    @property
-    def blocks(self) -> Blocks:
-        return self.underlying.blocks
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.underlying.blocks)
+        return cls.of(m, (range(1, m + 1),))
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    def __str__(self) -> str:
-        return str(self.underlying)
-
-    def to_json(self) -> dict:
-        return self.underlying.to_json()
-
-
-def _trusted(m: int, blocks: Blocks) -> NCPartition:
-    """The partition of canonical blocks that are non-crossing by
-    construction, built without running either constructor."""
-    underlying = object.__new__(SetPartition)
-    object.__setattr__(underlying, "m", m)
-    object.__setattr__(underlying, "blocks", blocks)
-    p = object.__new__(NCPartition)
-    object.__setattr__(p, "underlying", underlying)
-    return p
 
 
 def rank(p: NCPartition) -> int:
@@ -236,7 +204,7 @@ def _same_ground(p: NCPartition, q: NCPartition) -> None:
 def refine_le(p: NCPartition, q: NCPartition) -> bool:
     """The refinement order p <= q: every block of p sits inside a block of q."""
     _same_ground(p, q)
-    qix = q.underlying.index_map()
+    qix = q.index_map()
     for b in p.blocks:
         k = qix[b[0]]
         for e in b[1:]:
@@ -248,12 +216,12 @@ def refine_le(p: NCPartition, q: NCPartition) -> bool:
 def meet_nc(p: NCPartition, q: NCPartition) -> NCPartition:
     """Greatest lower bound: blockwise intersection, inherited from set partitions."""
     _same_ground(p, q)
-    pix = p.underlying.index_map()
-    qix = q.underlying.index_map()
+    pix = p.index_map()
+    qix = q.index_map()
     groups: dict[tuple[int, int], list[int]] = {}
     for i in range(1, p.m + 1):
         groups.setdefault((pix[i], qix[i]), []).append(i)
-    return _trusted(p.m, tuple(sorted(tuple(g) for g in groups.values())))
+    return NCPartition(p.m, tuple(sorted(tuple(g) for g in groups.values())))
 
 
 def join_nc(p: NCPartition, q: NCPartition) -> NCPartition:
@@ -306,7 +274,7 @@ def kreweras(p: NCPartition) -> NCPartition:
             orbit.append(i)
             i = inv[i % m + 1]
         blocks.append(tuple(sorted(orbit)))
-    return _trusted(m, tuple(sorted(blocks)))
+    return NCPartition(m, tuple(sorted(blocks)))
 
 
 def rotate(p: NCPartition, k: int = 1) -> NCPartition:
@@ -315,7 +283,7 @@ def rotate(p: NCPartition, k: int = 1) -> NCPartition:
     blocks = tuple(
         sorted(tuple(sorted((e - 1 + k) % m + 1 for e in b)) for b in p.blocks)
     )
-    return _trusted(m, blocks)
+    return NCPartition(m, blocks)
 
 
 def blockwise_complement(p: NCPartition, q: NCPartition) -> tuple[int, ...]:
@@ -332,7 +300,7 @@ def blockwise_complement(p: NCPartition, q: NCPartition) -> tuple[int, ...]:
     for B in q.blocks:
         pos = {e: i + 1 for i, e in enumerate(B)}
         sub_blocks = [tuple(pos[e] for e in pb) for pb in p.blocks if pb[0] in pos]
-        sub = _trusted(len(B), tuple(sub_blocks))
+        sub = NCPartition(len(B), tuple(sub_blocks))
         sizes.extend(len(c) for c in kreweras(sub).blocks)
     return tuple(sorted(sizes, reverse=True))
 
@@ -415,7 +383,7 @@ def _nc_blocklists(m: int, cap: int | None) -> Iterable[Blocks]:
 def iter_nc(m: int, cap: int | None = None) -> Iterator[NCPartition]:
     """Stream NC(m) in lexicographic order of canonical block tuples."""
     for bl in _nc_blocklists(m, cap):
-        yield _trusted(m, bl)
+        yield NCPartition(m, bl)
 
 
 def enumerate_nc(m: int, cap: int | None = None) -> list[NCPartition]:
@@ -436,7 +404,7 @@ class _Above:
     product's key is the sum of its factors' keys, so no tuple is sorted."""
 
     def __init__(self, p: NCPartition):
-        self._pix = p.underlying.index_map()
+        self._pix = p.index_map()
         power = [(p.m + 1) ** i for i in range(p.m + 1)]
         self._block_key = cache(lambda b: sum(s * power[a] for a, s in zip(b, b[1:])))
         self._keys: dict[tuple[int, ...], list[int]] = {}
@@ -473,7 +441,7 @@ def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
     _check_cap(q.m, None)
     walk = _Above(p)
     elems = [
-        _trusted(q.m, tuple(sorted(chain.from_iterable(combo))))
+        NCPartition(q.m, tuple(sorted(chain.from_iterable(combo))))
         for combo in product(*[tuple(walk.coarsenings(B)) for B in q.blocks])
     ]
     elems.sort(key=lambda w: (rank(w), w.blocks))

@@ -9,11 +9,12 @@ unknown series, in O(N^3).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
-from .errors import FormatError, OrderMismatch, VanishingFirstMoment
+from .errors import FormatError, OrderMismatch, ResourceCapExceeded, VanishingFirstMoment
 
 Rat = int | Fraction
 
@@ -35,6 +36,17 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"cannot parse rational {text!r}") from None
+
+
+def _check_printable(n: int, value: Fraction) -> None:
+    """Stop a degree-by-degree solve at the first value that ``str`` cannot
+    print: one whose numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 allows any number)."""
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(value.numerator), value.denominator)
+    # 10**limit has over 3.32 * limit bits, so small values skip the power
+    if limit and big.bit_length() > 3.32 * limit and big >= 10**limit:
+        raise ResourceCapExceeded(f"the value of order {n} has over {limit} digits")
 
 
 class RationalSeries(Frozen):
@@ -148,6 +160,7 @@ class RationalSeries(Frozen):
                 if c[j] and power:
                     acc += c[j] * power
             h[k] = -acc / c[1]
+            _check_printable(k, h[k])
         return RationalSeries(tuple(h))
 
     def __str__(self) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
-from noncross.coxeter import generated_subgroup, identity, inv, mul
+from noncross.coxeter import _reflection_length, generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError, OrderMismatch
 from noncross.freeprob import MomentSequence, _nc_profiles, _product_over, moment_series
 from noncross.partitions import NCPartition, catalan, enumerate_nc
@@ -312,7 +312,7 @@ def le_matrix(elems) -> list[list[bool]]:
     """le[i][j] = elems[i] refines elems[j]: each block of elems[i] meets
     exactly one block of elems[j], so the points carry as many distinct
     (block in i, block in j) pairs as elems[i] has blocks."""
-    owners = [v.underlying.index_map()[1:] for v in elems]
+    owners = [v.index_map()[1:] for v in elems]
     return [[len(set(zip(iu, iv))) == u.n_blocks for iv in owners] for u, iu in zip(elems, owners)]
 
 
@@ -368,6 +368,29 @@ def nc_scan(ctx, c) -> list:
     dist = bfs_reflection_length(ctx)
     below = [u for u in ctx.elements if dist[u] + dist[mul(inv(u), c)] == dist[c]]
     return sorted(below, key=lambda u: (dist[u], u))
+
+
+def pairwise_lattice_check(elems: list) -> bool:
+    """Whether the absolute order on elems is a lattice, by the definition:
+    some element lies above all, and for every pair the common lower bounds
+    hold one that lies above the others."""
+    lengths = [_reflection_length(u) for u in elems]
+    le = [
+        [
+            u == v or lu < lv and lu + _reflection_length(mul(inv(u), v)) == lv
+            for v, lv in zip(elems, lengths)
+        ]
+        for u, lu in zip(elems, lengths)
+    ]
+    n = len(elems)
+    if not any(all(row[z] for row in le) for z in range(n)):
+        return False
+    for i in range(n):
+        for j in range(i, n):
+            lower = [k for k in range(n) if le[k][i] and le[k][j]]
+            if not any(all(le[x][z] for x in lower) for z in lower):
+                return False
+    return True
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

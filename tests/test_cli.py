@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -281,18 +282,33 @@ def test_readme_caps_paragraph_matches_the_caps_module():
     assert not re.search(r"\d", re.sub(r"`[A-Z_]+ = [^`]+`", "", paragraph))
 
 
+LONG_VALUES = ",".join(["1/" + "7" * 1000] * 30)
+
+
 @pytest.mark.parametrize(
     "argv, order",
     [
         (["free", "law", "--name", "free-bessel", "--ell", "1000000", "--order", "60"], 50),
-        (["free", "c2m", "--cumulants", ",".join(["9" * 3000] * 3)], 1),
+        # Order 1 overflows a float, but the solve stops first at order 2,
+        # whose 6,000 digits it cannot print.
+        (["free", "c2m", "--cumulants", ",".join(["9" * 3000] * 3)], 2),
         (["free", "c2m", "--cumulants", ",".join(["1/" + "9" * 2500] * 2)], 2),
         (["free", "clt", "--base", "0,1,0," + "9" * 400, "--n", "2", "--even"], 4),
+        # Long inputs stop as the first unprintable value is solved.
+        (["free", "m2c", "--moments", LONG_VALUES], 5),
+        (["free", "c2m", "--cumulants", LONG_VALUES], 5),
+        (["free", "add", "--a", LONG_VALUES, "--b", LONG_VALUES], 5),
+        (["free", "mult", "--a", LONG_VALUES, "--b", LONG_VALUES], 5),
     ],
-    ids=["float-overflow", "huge-cumulants", "digit-limit", "even-orders"],
+    ids=[
+        "float-overflow", "huge-cumulants", "digit-limit", "even-orders",
+        "long-m2c", "long-c2m", "long-add", "long-mult",
+    ],
 )
 def test_an_unprintable_free_value_exits_3_naming_its_order(argv, order, capsys):
+    start = time.perf_counter()
     assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 2.0
     out, err = capsys.readouterr()
     assert out == "" and f"the value of order {order} " in err
 

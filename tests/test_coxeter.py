@@ -25,6 +25,7 @@ from helpers import (
     generates_the_group,
     nc_all,
     nc_scan,
+    pairwise_lattice_check,
     pointwise_stabilizer,
     root_of,
 )
@@ -269,6 +270,22 @@ def test_duality_reverses_the_order_below_c(family, rk):
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3), ("D", 4)])
 def test_nc_lattice_check(family, rk):
     assert C.nc_lattice_check(C.nc_set(ctx(family, rk)))
+
+
+def test_nc_lattice_check_agrees_with_the_pairwise_oracle():
+    # Removing one element of NC(W, c) keeps a lattice for some elements and
+    # breaks it for others, so both verdicts are compared.
+    verdicts = set()
+    for family, ranks in (("A", range(1, 5)), ("B", (2, 3)), ("D", (2, 3, 4))):
+        for rk in ranks:
+            elems = C.nc_set(ctx(family, rk))
+            assert C.nc_lattice_check(elems) and pairwise_lattice_check(elems)
+            for k in range(len(elems)):
+                rest = elems[:k] + elems[k + 1 :]
+                verdict = C.nc_lattice_check(rest)
+                assert verdict == pairwise_lattice_check(rest), (family, rk, k)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,20 @@ def test_set_partition_rejects_malformed(bad):
 
 
 def test_nc_partition_rejects_crossing():
+    # An NCPartition is a SetPartition whose checked constructors also
+    # reject crossings; the two classes never compare equal.
     with pytest.raises(CrossingPartition):
         NCPartition.parse("1 3|2 4")
     with pytest.raises(CrossingPartition):
+        NCPartition.of(4, [(1, 3), (2, 4)])
+    with pytest.raises(CrossingPartition):
         NCPartition.of(6, [(1, 4), (2, 5), (3,), (6,)])
+    crossing = SetPartition.parse("1 3|2 4")
+    assert crossing.blocks == ((1, 3), (2, 4)) and type(crossing) is SetPartition
+    assert crossing != NCPartition(4, crossing.blocks)
+    nc, plain = NCPartition.parse("1 2|3"), SetPartition.parse("1 2|3")
+    assert isinstance(nc, SetPartition) and nc.blocks == plain.blocks
+    assert nc != plain and plain != nc
 
 
 def test_value_classes_compare_hash_print_and_stay_frozen():
@@ -72,12 +82,12 @@ def test_value_classes_compare_hash_print_and_stay_frozen():
     from noncross.series import RationalSeries
 
     p = NCPartition.parse("1 2|3")
-    assert repr(p) == "NCPartition(underlying=SetPartition(m=3, blocks=((1, 2), (3,))))"
+    assert repr(p) == "NCPartition(m=3, blocks=((1, 2), (3,)))"
     assert repr(MomentSequence.of([1, 2])) == "MomentSequence(values=(Fraction(1, 1), Fraction(2, 1)))"
     assert MomentSequence.of([1]) != CumulantSequence.of([1])
     fields = {
-        p: "underlying",
-        p.underlying: "blocks",
+        p: "blocks",
+        SetPartition.parse("1 2|3"): "m",
         MomentSequence.of([1, 2]): "values",
         RationalSeries.of([0, 1]): "coeffs",
         GinibreSpec(n=4, ell=1, kind="product", trials=2, seed=0): "seed",
@@ -131,7 +141,7 @@ def test_enumerated_partitions_are_valid_without_the_constructor_check(m):
     assert len(parts) == len(set(parts)) == CATALAN[m]
     for p in parts:
         assert sorted(x for b in p.blocks for x in b) == list(range(1, m + 1))
-        assert P.is_noncrossing(p.underlying)
+        assert P.is_noncrossing(p)
         assert p == NCPartition.of(m, p.blocks)
     assert set(P.interval(NCPartition.bottom(m), NCPartition.top(m))) == set(parts)
 
@@ -142,11 +152,11 @@ def test_lattice_operations_return_noncrossing_partitions(m):
     # re-run it on every result.
     parts = nc_all(m)
     for p in parts:
-        assert P.is_noncrossing(P.kreweras(p).underlying)
+        assert P.is_noncrossing(P.kreweras(p))
         for k in range(-1, m + 1):
-            assert P.is_noncrossing(P.rotate(p, k).underlying)
+            assert P.is_noncrossing(P.rotate(p, k))
         for q in parts:
-            assert P.is_noncrossing(P.meet_nc(p, q).underlying)
+            assert P.is_noncrossing(P.meet_nc(p, q))
 
 
 def test_empty_ground_set_has_one_partition():
@@ -204,7 +214,7 @@ def test_meet_is_the_set_partition_meet():
     for p in nc_all(5):
         for q in nc_all(5):
             w = P.meet_nc(p, q)
-            pix, qix = p.underlying.index_map(), q.underlying.index_map()
+            pix, qix = p.index_map(), q.index_map()
             groups = {}
             for i in range(1, 6):
                 groups.setdefault((pix[i], qix[i]), []).append(i)
