@@ -93,9 +93,12 @@ def _pq(args: argparse.Namespace) -> tuple[partitions.NCPartition, partitions.NC
 
 
 def _seq_payload(op: str, seq, **extra) -> dict:
-    seq = list(seq)
+    """Render the values of seq, checking each as it arrives: given a lazy
+    solve, the command stops at the first value it cannot print."""
     values, decimals = [], []
-    for n, v in zip(extra.get("orders") or range(1, len(seq) + 1), seq):
+    orders = extra.get("orders")
+    for i, v in enumerate(seq):
+        n = orders[i] if orders else i + 1
         try:
             values.append(str(v))
         except ValueError:
@@ -174,17 +177,17 @@ def _nc_mobius(args) -> dict:
 
 
 def _free_m2c(args) -> dict:
-    seq = freeprob.moments_to_cumulants(freeprob.MomentSequence.parse(args.moments))
+    seq = freeprob.iter_cumulants(freeprob.MomentSequence.parse(args.moments))
     return _seq_payload("moments_to_cumulants", seq)
 
 
 def _free_c2m(args) -> dict:
-    seq = freeprob.cumulants_to_moments(freeprob.CumulantSequence.parse(args.cumulants))
+    seq = freeprob.iter_moments(freeprob.CumulantSequence.parse(args.cumulants))
     return _seq_payload("cumulants_to_moments", seq)
 
 
 def _free_add(args) -> dict:
-    seq = freeprob.free_add_convolve(
+    seq = freeprob.iter_free_add(
         freeprob.MomentSequence.parse(args.a), freeprob.MomentSequence.parse(args.b)
     )
     return _seq_payload("free_add", seq)
@@ -193,9 +196,9 @@ def _free_add(args) -> dict:
 def _free_mult(args) -> dict:
     a, b = freeprob.MomentSequence.parse(args.a), freeprob.MomentSequence.parse(args.b)
     if args.route == "kreweras":
-        seq = freeprob.free_mult_convolve_kreweras(a, b)
+        seq = freeprob.iter_free_mult_kreweras(a, b)
     else:
-        seq = freeprob.free_mult_convolve_stransform(a, b)
+        seq = freeprob.iter_free_mult_stransform(a, b)
     return _seq_payload("free_mult", seq, route=args.route)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     VanishingFirstMoment,
 )
 from .partitions import _check_cap, catalan, iter_nc, kreweras
-from .series import RationalSeries, Rat, _check_printable, _frac, _power_columns, parse_rationals
+from .series import RationalSeries, Rat, _frac, _inverse_coeffs, _power_columns, parse_rationals
 
 
 class _Sequence(Frozen):
@@ -123,18 +123,19 @@ def _check_order(order: int) -> None:
 
 
 def _solve_moment_cumulant(
-    values: tuple[Fraction, ...], *, from_cumulants: bool
-) -> tuple[Fraction, ...]:
+    values: Iterable[Fraction], order: int, *, from_cumulants: bool
+) -> Iterator[Fraction]:
     """Solve M(z) = 1 + sum_s k_s z^s M(z)^s for the unknown side.
 
     With u = z M(z), m_n = sum over s <= n of k_s [z^n] u^s, and the s = n
     term is k_n itself, so each degree yields one new moment or cumulant.
+    The n-th given value is read only when degree n is solved, so solves
+    chain lazily and a consumer can stop at any degree.
     """
-    order = len(values)
     _check_order(order)
-    moments = [] if from_cumulants else values
-    kappa = values if from_cumulants else []
-    solved = moments if from_cumulants else kappa
+    given = iter(values)
+    moments: list[Fraction] = []
+    kappa: list[Fraction] = []
     u = [Fraction(0)] * (order + 1)  # u_1 = 1, u_{n+1} = m_n
     u[1] = Fraction(1)
     for n, column in enumerate(_power_columns(u), start=1):
@@ -143,59 +144,83 @@ def _solve_moment_cumulant(
             if kappa[s - 1] and column[s - 2]:
                 partial += kappa[s - 1] * column[s - 2]
         if from_cumulants:
+            kappa.append(next(given))
             moments.append(partial + kappa[n - 1])
         else:
+            moments.append(next(given))
             kappa.append(moments[n - 1] - partial)
-        _check_printable(n, solved[-1])
         if n < order:
             u[n + 1] = moments[n - 1]
-    return tuple(solved)
+        yield moments[-1] if from_cumulants else kappa[-1]
+
+
+def _check_orders(a: MomentSequence, b: MomentSequence) -> None:
+    if a.order != b.order:
+        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+
+
+# Each transform below comes in two forms: iter_* yields the result one
+# order at a time, so a consumer (the CLI printer) can stop at the first
+# value it cannot use, and the plain form collects it into a sequence.
+
+
+def iter_moments(kappa: CumulantSequence) -> Iterator[Fraction]:
+    """m_1, m_2, ... from the cumulants, one order at a time."""
+    return _solve_moment_cumulant(kappa.values, kappa.order, from_cumulants=True)
+
+
+def iter_cumulants(m: MomentSequence) -> Iterator[Fraction]:
+    """k_1, k_2, ... from the moments, one order at a time."""
+    return _solve_moment_cumulant(m.values, m.order, from_cumulants=False)
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
     """m_n = sum over NC(n) of the product of k_{|B|} over blocks B."""
-    return MomentSequence(_solve_moment_cumulant(kappa.values, from_cumulants=True))
+    return MomentSequence(tuple(iter_moments(kappa)))
 
 
 def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
     """Free cumulants from moments: the moment formula solved for k_n."""
-    return CumulantSequence(_solve_moment_cumulant(m.values, from_cumulants=False))
+    return CumulantSequence(tuple(iter_cumulants(m)))
+
+
+def iter_free_add(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
+    """Moments of the sum of free elements, one order at a time: cumulant
+    sequences add, and moment n solves each input only up to order n."""
+    _check_orders(a, b)
+    kappa = (x + y for x, y in zip(iter_cumulants(a), iter_cumulants(b)))
+    return _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
 
 
 def free_add_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
     """Moments of the sum of free elements: cumulant sequences add."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    ka = moments_to_cumulants(a)
-    kb = moments_to_cumulants(b)
-    return cumulants_to_moments(
-        CumulantSequence(tuple(x + y for x, y in zip(ka.values, kb.values)))
-    )
+    return MomentSequence(tuple(iter_free_add(a, b)))
 
 
-def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentSequence:
+def iter_free_mult_kreweras(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
     """Moments of the product of free elements, by the complement pairing:
     k_n(ab) = sum over p in NC(n) of k_p(a) k_{complement(p)}(b).
 
     This is the lattice route: it enumerates NC(1..N), so the enumeration
     cap bounds its order, checked before the cached profile tables are read.
     """
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+    _check_orders(a, b)
     _check_cap(a.order, None)
-    ka = moments_to_cumulants(a)
-    kb = moments_to_cumulants(b)
-    out = []
-    for n in range(1, a.order + 1):
-        total = Fraction(0)
-        for sizes, csizes, mult in _nc_profiles(n):
-            total += (
-                mult
-                * _product_over(sizes, ka.values)
-                * _product_over(csizes, kb.values)
-            )
-        out.append(total)
-    return cumulants_to_moments(CumulantSequence(tuple(out)))
+    ka = moments_to_cumulants(a).values
+    kb = moments_to_cumulants(b).values
+    kappa = (
+        sum(
+            mult * _product_over(sizes, ka) * _product_over(csizes, kb)
+            for sizes, csizes, mult in _nc_profiles(n)
+        )
+        for n in range(1, a.order + 1)
+    )
+    return _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
+
+
+def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentSequence:
+    """Moments of the product of free elements by the lattice route."""
+    return MomentSequence(tuple(iter_free_mult_kreweras(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +237,53 @@ def r_transform(m: MomentSequence) -> RationalSeries:
     return RationalSeries((Fraction(0),) + moments_to_cumulants(m).values)
 
 
+def _iter_s(m: MomentSequence) -> Iterator[Fraction]:
+    """S_0, ..., S_{N-1} of S(z) = (1 + z) M^{(-1)}(z) / z: with M^{(-1)}(z)
+    = h_1 z + h_2 z^2 + ..., S_k = h_{k+1} + h_k, one per inverse coefficient."""
+    if not m.values[0]:
+        raise VanishingFirstMoment("S-transform needs a nonzero first moment")
+    _check_order(m.order)
+    previous = Fraction(0)
+    for h in _inverse_coeffs(m.values, m.order):
+        yield h + previous
+        previous = h
+
+
 def s_transform(m: MomentSequence) -> RationalSeries:
     """S(z) = (1 + z)/z * M^{(-1)}(z).
 
     Needs m_1 != 0.  The result is truncated at order N - 1 (constant term
     1/m_1 included), which is exactly what order-N moments determine.
     """
-    if not m.values[0]:
-        raise VanishingFirstMoment("S-transform needs a nonzero first moment")
-    _check_order(m.order)
-    minv = moment_series(m).compositional_inverse().shift_down()  # M^{(-1)}(z) / z
-    one_plus_z = RationalSeries.constant(1, minv.order) + RationalSeries.identity(minv.order)
-    return one_plus_z * minv
+    return RationalSeries(tuple(_iter_s(m)))
 
 
-def _moments_from_s(s: RationalSeries) -> MomentSequence:
-    """Recover moments m_1..m_{N} from S truncated at order N - 1."""
-    one_plus_z = RationalSeries.constant(1, s.order) + RationalSeries.identity(s.order)
-    minv_over_z = s * one_plus_z.reciprocal()  # M^{(-1)}(z) / z
-    minv = RationalSeries((Fraction(0),) + minv_over_z.coeffs)
-    return MomentSequence(minv.compositional_inverse().coeffs[1:])
+def iter_free_mult_stransform(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
+    """Moments of the product of free elements via S_{ab} = S_a S_b, one
+    order at a time: moment n reads S_a and S_b only up to order n - 1.
+
+    S_{ab}(z) / (1 + z) = M^{(-1)}(z) / z, whose inverse holds the moments.
+    """
+    _check_orders(a, b)
+
+    def minv_over_z() -> Iterator[Fraction]:
+        # [z^k] of S_a S_b, less [z^(k-1)] of the quotient by 1 + z
+        sa: list[Fraction] = []
+        sb: list[Fraction] = []
+        previous = Fraction(0)
+        for x, y in zip(_iter_s(a), _iter_s(b)):
+            sa.append(x)
+            sb.append(y)
+            s_ab = sum(p * q for p, q in zip(sa, reversed(sb)))
+            previous = s_ab - previous
+            yield previous
+
+    return _inverse_coeffs(minv_over_z(), a.order)
 
 
 def free_mult_convolve_stransform(a: MomentSequence, b: MomentSequence) -> MomentSequence:
     """Moments of the product of free elements via S_{ab} = S_a S_b."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    return _moments_from_s(s_transform(a) * s_transform(b))
+    return MomentSequence(tuple(iter_free_mult_stransform(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ unknown series, in O(N^3).
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
-from .errors import FormatError, OrderMismatch, ResourceCapExceeded, VanishingFirstMoment
+from .errors import FormatError, OrderMismatch, VanishingFirstMoment
 
 Rat = int | Fraction
 
@@ -36,17 +35,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"cannot parse rational {text!r}") from None
-
-
-def _check_printable(n: int, value: Fraction) -> None:
-    """Stop a degree-by-degree solve at the first value that ``str`` cannot
-    print: one whose numerator or denominator has more digits than
-    ``sys.get_int_max_str_digits()`` allows (0 allows any number)."""
-    limit = sys.get_int_max_str_digits()
-    big = max(abs(value.numerator), value.denominator)
-    # 10**limit has over 3.32 * limit bits, so small values skip the power
-    if limit and big.bit_length() > 3.32 * limit and big >= 10**limit:
-        raise ResourceCapExceeded(f"the value of order {n} has over {limit} digits")
 
 
 class RationalSeries(Frozen):
@@ -140,31 +128,38 @@ class RationalSeries(Frozen):
         return RationalSeries(tuple(out))
 
     def compositional_inverse(self) -> "RationalSeries":
-        """The series h with f(h(z)) = z, for f = c_1 z + ... with c_1 != 0.
-
-        Solved degree by degree: [z^k] f(h) = c_1 h_k + sum over j >= 2 of
-        c_j [z^k] h^j, and the powers h^j only need h_1..h_{k-1}.
-        """
+        """The series h with f(h(z)) = z, for f = c_1 z + ... with c_1 != 0."""
         c = self.coeffs
         if c[0]:
             raise FormatError("compositional inverse needs zero constant term")
         if not c[1]:
             raise VanishingFirstMoment("compositional inverse needs c_1 != 0")
-        h = [Fraction(0)] * (self.order + 1)
-        h[1] = 1 / c[1]
-        columns = _power_columns(h)
-        next(columns)  # degree 1 holds no power above the first
-        for k, column in enumerate(columns, start=2):
-            acc = Fraction(0)
-            for j, power in enumerate(column, start=2):
-                if c[j] and power:
-                    acc += c[j] * power
-            h[k] = -acc / c[1]
-            _check_printable(k, h[k])
-        return RationalSeries(tuple(h))
+        return RationalSeries((Fraction(0),) + tuple(_inverse_coeffs(c[1:], self.order)))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
+
+
+def _inverse_coeffs(f: Iterable[Fraction], order: int) -> Iterator[Fraction]:
+    """h_1, ..., h_order of the compositional inverse h of f = c_1 z + c_2 z^2
+    + ..., given c_1, c_2, ... with c_1 != 0.
+
+    Solved degree by degree: [z^k] f(h) = c_1 h_k + sum over j >= 2 of
+    c_j [z^k] h^j must be 1 for k = 1 and 0 after, and the powers h^j only
+    need h_1..h_{k-1}.  c_k is read only when h_k is solved, so the
+    coefficients may come from a lazy solve.
+    """
+    given = iter(f)
+    c = [Fraction(0)]
+    h = [Fraction(0)] * (order + 1)
+    for k, column in enumerate(_power_columns(h), start=1):
+        c.append(next(given))
+        acc = Fraction(0)
+        for j, power in enumerate(column, start=2):
+            if c[j] and power:
+                acc += c[j] * power
+        h[k] = ((k == 1) - acc) / c[1]
+        yield h[k]
 
 
 def _power_columns(y: list[Fraction]) -> Iterator[list[Fraction]]:

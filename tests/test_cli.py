@@ -289,16 +289,14 @@ LONG_VALUES = ",".join(["1/" + "7" * 1000] * 30)
     "argv, order",
     [
         (["free", "law", "--name", "free-bessel", "--ell", "1000000", "--order", "60"], 50),
-        # Order 1 overflows a float, but the solve stops first at order 2,
-        # whose 6,000 digits it cannot print.
-        (["free", "c2m", "--cumulants", ",".join(["9" * 3000] * 3)], 2),
+        (["free", "c2m", "--cumulants", ",".join(["9" * 3000] * 3)], 1),
         (["free", "c2m", "--cumulants", ",".join(["1/" + "9" * 2500] * 2)], 2),
         (["free", "clt", "--base", "0,1,0," + "9" * 400, "--n", "2", "--even"], 4),
-        # Long inputs stop as the first unprintable value is solved.
+        # Long inputs stop as the first unprintable output is solved.
         (["free", "m2c", "--moments", LONG_VALUES], 5),
         (["free", "c2m", "--cumulants", LONG_VALUES], 5),
-        (["free", "add", "--a", LONG_VALUES, "--b", LONG_VALUES], 5),
-        (["free", "mult", "--a", LONG_VALUES, "--b", LONG_VALUES], 5),
+        (["free", "add", "--a", LONG_VALUES, "--b", LONG_VALUES], 6),
+        (["free", "mult", "--a", LONG_VALUES, "--b", LONG_VALUES], 3),
     ],
     ids=[
         "float-overflow", "huge-cumulants", "digit-limit", "even-orders",
@@ -311,6 +309,26 @@ def test_an_unprintable_free_value_exits_3_naming_its_order(argv, order, capsys)
     assert time.perf_counter() - start < 2.0
     out, err = capsys.readouterr()
     assert out == "" and f"the value of order {order} " in err
+
+
+BIG = "1" * 1500
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        # The inputs' k3 = +-2/N^3 has about 4,500 digits; the sum's
+        # moments 0, -2/N^2, 0 have at most about 3,000.
+        (["free", "add", "--a", f"1/{BIG},0,0", f"--b=-1/{BIG},0,0"],
+         ["0", f"-2/{int(BIG) ** 2}", "0"]),
+        (["free", "mult", "--route", "kreweras", "--a", f"1/{BIG},0,0", "--b", "0,0,0"],
+         ["0", "0", "0"]),
+    ],
+    ids=["add", "kreweras"],
+)
+def test_only_printed_free_values_must_be_printable(argv, values, capsys):
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == values
 
 
 def test_rmt_output_is_independent_of_worker_and_blas_threads():
