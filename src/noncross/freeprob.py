@@ -166,12 +166,12 @@ def _check_orders(a: MomentSequence, b: MomentSequence) -> None:
 
 def iter_moments(kappa: CumulantSequence) -> Iterator[Fraction]:
     """m_1, m_2, ... from the cumulants, one order at a time."""
-    return _solve_moment_cumulant(kappa.values, kappa.order, from_cumulants=True)
+    yield from _solve_moment_cumulant(kappa.values, kappa.order, from_cumulants=True)
 
 
 def iter_cumulants(m: MomentSequence) -> Iterator[Fraction]:
     """k_1, k_2, ... from the moments, one order at a time."""
-    return _solve_moment_cumulant(m.values, m.order, from_cumulants=False)
+    yield from _solve_moment_cumulant(m.values, m.order, from_cumulants=False)
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
@@ -189,7 +189,7 @@ def iter_free_add(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
     sequences add, and moment n solves each input only up to order n."""
     _check_orders(a, b)
     kappa = (x + y for x, y in zip(iter_cumulants(a), iter_cumulants(b)))
-    return _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
+    yield from _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
 
 
 def free_add_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
@@ -215,7 +215,7 @@ def iter_free_mult_kreweras(a: MomentSequence, b: MomentSequence) -> Iterator[Fr
         )
         for n in range(1, a.order + 1)
     )
-    return _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
+    yield from _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
 
 
 def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentSequence:
@@ -278,7 +278,7 @@ def iter_free_mult_stransform(a: MomentSequence, b: MomentSequence) -> Iterator[
             previous = s_ab - previous
             yield previous
 
-    return _inverse_coeffs(minv_over_z(), a.order)
+    yield from _inverse_coeffs(minv_over_z(), a.order)
 
 
 def free_mult_convolve_stransform(a: MomentSequence, b: MomentSequence) -> MomentSequence:
