@@ -223,12 +223,12 @@ def _free_law(args) -> dict:
 def _free_clt(args) -> dict:
     base = freeprob.CumulantSequence.parse(args.base)
     if args.even:
-        values = freeprob.clt_even_moments(base, args.n)
+        values = freeprob.iter_clt_even_moments(base, args.n)
         orders = list(range(2, base.order + 1, 2))
         return _seq_payload(
             "clt_even_moments", values, n_summands=args.n, orders=orders
         )
-    seq = freeprob.clt_moments(base, args.n)
+    seq = freeprob.iter_clt_moments(base, args.n)
     return _seq_payload("clt_moments", seq, n_summands=args.n)
 
 

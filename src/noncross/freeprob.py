@@ -6,17 +6,17 @@ factor per block.  Its generating-function form M(z) = 1 + sum_s k_s z^s
 M(z)^s gives the same rationals degree by degree in O(n^3), without
 enumerating the lattice, and every transform here goes through it.
 Additive free convolution adds cumulant sequences; multiplicative free
-convolution multiplies S-transforms, or, on the lattice route, sums
-cumulant products over complementary pairs (p, Kreweras complement of p).
-Everything here is Fraction arithmetic; no floats.
+convolution multiplies S-transforms, or, on the Kreweras route, sums
+cumulant products over complementary pairs (p, K(p)), a sum that the count
+of minimal factorizations of the long cycle puts in closed form.  No
+transform enumerates NC(n), and this module imports nothing from
+``partitions``.  Everything here is Fraction arithmetic; no floats.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
@@ -28,7 +28,6 @@ from .errors import (
     ResourceCapExceeded,
     VanishingFirstMoment,
 )
-from .partitions import _check_cap, catalan, iter_nc, kreweras
 from .series import RationalSeries, Rat, _frac, _inverse_coeffs, _power_columns, parse_rationals
 
 
@@ -85,34 +84,6 @@ class CumulantSequence(_Sequence):
     def cumulant(self, n: int) -> Fraction:
         """k_n for 1 <= n <= order."""
         return self._at(n, "cumulant")
-
-
-Profile = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-@cache
-def _nc_profiles(n: int) -> tuple[Profile, ...]:
-    """Distinct (block sizes of p, block sizes of complement, multiplicity).
-
-    One streaming pass over NC(n), bounded by the enumeration cap; the
-    grouped table is all the lattice route needs, since every summand
-    depends only on block sizes.
-    """
-    counter: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
-    for p in iter_nc(n):
-        key = (
-            tuple(sorted(p.block_sizes(), reverse=True)),
-            tuple(sorted(kreweras(p).block_sizes(), reverse=True)),
-        )
-        counter[key] += 1
-    return tuple((a, b, k) for (a, b), k in sorted(counter.items()))
-
-
-def _product_over(sizes: tuple[int, ...], values: tuple[Fraction, ...]) -> Fraction:
-    out = Fraction(1)
-    for s in sizes:
-        out *= values[s - 1]
-    return out
 
 
 def _check_order(order: int) -> None:
@@ -197,25 +168,45 @@ def free_add_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
     return MomentSequence(tuple(iter_free_add(a, b)))
 
 
-def iter_free_mult_kreweras(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
-    """Moments of the product of free elements, by the complement pairing:
-    k_n(ab) = sum over p in NC(n) of k_p(a) k_{complement(p)}(b).
+def _kreweras_cumulants(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
+    """k_n(ab) = sum over p in NC(n) of k_p(a) k_{K(p)}(b), in closed form.
 
-    This is the lattice route: it enumerates NC(1..N), so the enumeration
-    cap bounds its order, checked before the cached profile tables are read.
+    NC(n) is the interval [1, c] of the symmetric group and K(p) is u^{-1} c,
+    so the pairs (p, K(p)) are the minimal factorizations of the long cycle
+    c.  Their count by cycle types (Goulden-Jackson 1992) makes the sum
+    factor over the number k of blocks of p, with R = sum k_s z^s:
+
+        k_n(ab) = n sum_{k=1..n} ([z^n] R_a^k / k) ([z^n] R_b^(n+1-k) / (n+1-k)).
+
+    [z^n] R^j for j >= 2 reads only k_1..k_{n-1}, so k_n(a) and k_n(b) are
+    read only when degree n is solved.
+    """
+    ka = [Fraction(0)] * (a.order + 1)
+    kb = [Fraction(0)] * (a.order + 1)
+    solves = zip(iter_cumulants(a), iter_cumulants(b), _power_columns(ka), _power_columns(kb))
+    for n, (x, y, column_a, column_b) in enumerate(solves, start=1):
+        ka[n], kb[n] = x, y
+        powers_a, powers_b = [x, *column_a], [y, *column_b]  # [z^n] R^j at j - 1
+        yield sum(
+            (
+                Fraction(n, k * (n + 1 - k)) * powers_a[k - 1] * powers_b[n - k]
+                for k in range(1, n + 1)
+                if powers_a[k - 1] and powers_b[n - k]
+            ),
+            Fraction(0),
+        )
+
+
+def iter_free_mult_kreweras(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:
+    """Moments of the product of free elements, by the complement pairing
+    k_n(ab) = sum over p in NC(n) of k_p(a) k_{K(p)}(b), one order at a time.
+
+    The sum is taken in closed form, without enumerating NC(n), so like the
+    other transforms it is bounded by the series order cap alone, and unlike
+    the S-transform route it needs no nonzero first moment.
     """
     _check_orders(a, b)
-    _check_cap(a.order, None)
-    ka = moments_to_cumulants(a).values
-    kb = moments_to_cumulants(b).values
-    kappa = (
-        sum(
-            mult * _product_over(sizes, ka) * _product_over(csizes, kb)
-            for sizes, csizes, mult in _nc_profiles(n)
-        )
-        for n in range(1, a.order + 1)
-    )
-    yield from _solve_moment_cumulant(kappa, a.order, from_cumulants=True)
+    yield from _solve_moment_cumulant(_kreweras_cumulants(a, b), a.order, from_cumulants=True)
 
 
 def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentSequence:
@@ -296,18 +287,23 @@ def _check_law_order(order: int) -> None:
     _check_order(order)
 
 
+def _fuss_catalan(ell: int, k: int) -> Fraction:
+    return Fraction(math.comb((ell + 1) * k, k), ell * k + 1)
+
+
 def semicircle_moments(order: int) -> MomentSequence:
-    """Standard semicircle: odd moments 0, m_{2k} = C_k; R(z) = z^2."""
+    """Standard semicircle: odd moments 0, m_{2k} = C_k (Fuss-Catalan at
+    ell = 1); R(z) = z^2."""
     _check_law_order(order)
-    return MomentSequence.of(
-        [0 if n % 2 else catalan(n // 2) for n in range(1, order + 1)]
+    return MomentSequence(
+        tuple(Fraction(0) if n % 2 else _fuss_catalan(1, n // 2) for n in range(1, order + 1))
     )
 
 
 def free_poisson_moments(order: int) -> MomentSequence:
-    """Free Poisson (Marchenko-Pastur, rate 1): m_k = C_k, all cumulants 1."""
-    _check_law_order(order)
-    return MomentSequence.of([catalan(n) for n in range(1, order + 1)])
+    """Free Poisson (Marchenko-Pastur, rate 1): m_k = C_k, all cumulants 1.
+    It is the free Bessel law at ell = 1."""
+    return free_bessel_moments(1, order)
 
 
 def free_bessel_moments(ell: int, order: int) -> MomentSequence:
@@ -321,36 +317,30 @@ def free_bessel_moments(ell: int, order: int) -> MomentSequence:
     if ell < 0:
         raise FormatError("ell must be >= 0")
     _check_law_order(order)
-    return MomentSequence(
-        tuple(
-            Fraction(math.comb((ell + 1) * k, k), ell * k + 1)
-            for k in range(1, order + 1)
-        )
-    )
+    return MomentSequence(tuple(_fuss_catalan(ell, k) for k in range(1, order + 1)))
 
 
-def _sum_moments(kappa: CumulantSequence, n_summands: int) -> tuple[Fraction, ...]:
-    """Moments of the unnormalised sum a_1 + ... + a_N of free copies: its
-    cumulants are N k_j."""
+def _sum_moments(kappa: CumulantSequence, n_summands: int) -> Iterator[Fraction]:
+    """Moments of the unnormalised sum a_1 + ... + a_N of free copies, one
+    order at a time: its cumulants are N k_j."""
     if n_summands < 1:
         raise FormatError("need at least one summand")
-    scaled = CumulantSequence(tuple(n_summands * k for k in kappa.values))
-    return cumulants_to_moments(scaled).values
+    scaled = (n_summands * k for k in kappa.values)
+    return _solve_moment_cumulant(scaled, kappa.order, from_cumulants=True)
 
 
-def clt_moments(kappa: CumulantSequence, n_summands: int) -> MomentSequence:
+def iter_clt_moments(kappa: CumulantSequence, n_summands: int) -> Iterator[Fraction]:
     """Exact moments of the rescaled sum (a_1 + ... + a_N)/sqrt(N) of free
-    copies with the given cumulants.
+    copies with the given cumulants, one order at a time.
 
     Moment n is that of the unnormalised sum divided by N^{n/2}.  For odd n
     a surviving sqrt(N) is irrational unless N is a perfect square, in
-    which case it folds in exactly.  Otherwise this raises rather than
-    rounding.
+    which case it folds in exactly.  Otherwise this raises at that order
+    rather than rounding.
     """
     N = n_summands
     moments = _sum_moments(kappa, N)
     root = math.isqrt(N)
-    out = []
     for n, value in enumerate(moments, start=1):
         scale = N ** (n // 2)
         if n % 2:
@@ -360,19 +350,25 @@ def clt_moments(kappa: CumulantSequence, n_summands: int) -> MomentSequence:
                     "use a perfect-square N or a base with vanishing odd terms"
                 )
             scale *= root
-        out.append(value / scale)
-    return MomentSequence(tuple(out))
+        yield value / scale
 
 
-def clt_even_moments(
-    kappa: CumulantSequence, n_summands: int
-) -> tuple[Fraction, ...]:
-    """The even moments m_2, m_4, ... of the rescaled free sum.
+def clt_moments(kappa: CumulantSequence, n_summands: int) -> MomentSequence:
+    """The moments of :func:`iter_clt_moments` as a sequence."""
+    return MomentSequence(tuple(iter_clt_moments(kappa, n_summands)))
+
+
+def iter_clt_even_moments(kappa: CumulantSequence, n_summands: int) -> Iterator[Fraction]:
+    """The even moments m_2, m_4, ... of the rescaled free sum, one at a time.
 
     N^{n/2} is an integer for even n, so these are exact rationals for
     every N — no perfect-square requirement.
     """
-    moments = _sum_moments(kappa, n_summands)
-    return tuple(
-        moments[n - 1] / n_summands ** (n // 2) for n in range(2, len(moments) + 1, 2)
-    )
+    for n, value in enumerate(_sum_moments(kappa, n_summands), start=1):
+        if n % 2 == 0:
+            yield value / n_summands ** (n // 2)
+
+
+def clt_even_moments(kappa: CumulantSequence, n_summands: int) -> tuple[Fraction, ...]:
+    """The even moments of :func:`iter_clt_even_moments` as a tuple."""
+    return tuple(iter_clt_even_moments(kappa, n_summands))

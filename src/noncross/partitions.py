@@ -26,7 +26,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
-from .caps import DEFAULT_ENUM_CAP, ENUM_CAP_ENV, SERIES_ORDER_CAP
+from .caps import DEFAULT_ENUM_CAP, ENUM_CAP_ENV
 from .errors import (
     CrossingPartition,
     FormatError,
@@ -61,12 +61,11 @@ def enumeration_cap() -> int:
         raise FormatError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def _check_cap(m: int, cap: int | None) -> None:
-    limit = enumeration_cap() if cap is None else cap
+def _check_cap(m: int) -> None:
+    limit = enumeration_cap()
     if m > limit:
         raise ResourceCapExceeded(
-            f"enumeration over NC({m}) exceeds the cap {limit}; "
-            f"raise {ENUM_CAP_ENV} or pass an explicit cap"
+            f"enumeration over NC({m}) exceeds the cap {limit}; raise {ENUM_CAP_ENV}"
         )
 
 
@@ -186,9 +185,6 @@ class NCPartition(SetPartition):
     def top(cls, m: int) -> "NCPartition":
         """The one-block partition (no blocks when m = 0, like the bottom)."""
         return cls.of(m, (range(1, m + 1),))
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
 
 def rank(p: NCPartition) -> int:
@@ -373,27 +369,27 @@ def _generate(elems: tuple[int, ...]) -> Iterator[Blocks]:
             yield from map((b1, *bl).__add__, tails)
 
 
-def _nc_blocklists(m: int, cap: int | None) -> Iterable[Blocks]:
+def _nc_blocklists(m: int) -> Iterable[Blocks]:
     if m < 0:
         raise FormatError("m must be non-negative")
-    _check_cap(m, cap)
+    _check_cap(m)
     return _blocklists(tuple(range(1, m + 1)))
 
 
-def iter_nc(m: int, cap: int | None = None) -> Iterator[NCPartition]:
+def iter_nc(m: int) -> Iterator[NCPartition]:
     """Stream NC(m) in lexicographic order of canonical block tuples."""
-    for bl in _nc_blocklists(m, cap):
+    for bl in _nc_blocklists(m):
         yield NCPartition(m, bl)
 
 
-def enumerate_nc(m: int, cap: int | None = None) -> list[NCPartition]:
+def enumerate_nc(m: int) -> list[NCPartition]:
     """All of NC(m) as a list, in the documented lexicographic order."""
-    return list(iter_nc(m, cap))
+    return list(iter_nc(m))
 
 
-def count_nc(m: int, cap: int | None = None) -> int:
+def count_nc(m: int) -> int:
     """|NC(m)|, counted over the enumeration without building partitions."""
-    return sum(1 for _ in _nc_blocklists(m, cap))
+    return sum(1 for _ in _nc_blocklists(m))
 
 
 class _Above:
@@ -438,7 +434,7 @@ def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
     enumeration cap bounds m, as for :func:`iter_nc`."""
     if not refine_le(p, q):
         raise NotComparable(f"{p} is not a refinement of {q}")
-    _check_cap(q.m, None)
+    _check_cap(q.m)
     walk = _Above(p)
     elems = [
         NCPartition(q.m, tuple(sorted(chain.from_iterable(combo))))

@@ -65,6 +65,8 @@ class GinibreSpec(Frozen):
             raise FormatError(f"kind must be one of {KINDS}, got {kind!r}")
         if n < 1 or ell < 1 or trials < 2:
             raise FormatError("need n >= 1, ell >= 1 and at least 2 trials")
+        if not 0 <= seed < 2**128:
+            raise FormatError(f"seed must be in 0..2**128 - 1 (a Philox key), got {seed}")
         _check_cap("n", n, N_CAP)
         _check_cap("ell", ell, ELL_CAP)
         _check_cap("trials", trials, TRIALS_CAP)

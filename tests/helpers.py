@@ -7,14 +7,15 @@ literal implementations used to cross-check the fast library code.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
 from noncross.coxeter import _reflection_length, generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError, OrderMismatch
-from noncross.freeprob import MomentSequence, _nc_profiles, _product_over, moment_series
-from noncross.partitions import NCPartition, catalan, enumerate_nc
+from noncross.freeprob import MomentSequence, moment_series
+from noncross.partitions import NCPartition, catalan, enumerate_nc, kreweras
 from noncross.series import RationalSeries
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -100,16 +101,55 @@ def random_fractions(rng, count: int, *, first_nonzero: bool = False) -> list[Fr
 
 # ---------------------------------------------------------------------------
 # Oracles for the transform engine.  The library solves
-# M(z) = 1 + sum_s k_s z^s M(z)^s degree by degree; these take independent
-# routes: sums over the block-size profiles of NC(n), Mobius values, the
-# O(n^4) triangular series inverse and the defining transform formulas.
+# M(z) = 1 + sum_s k_s z^s M(z)^s degree by degree and sums the Kreweras
+# pairs in closed form; these take independent routes: sums over the
+# block-size profiles of NC(n), Mobius values, the O(n^4) triangular series
+# inverse and the defining transform formulas.
+
+
+def _sizes(p: NCPartition) -> tuple[int, ...]:
+    return tuple(sorted((len(b) for b in p.blocks), reverse=True))
+
+
+@cache
+def nc_profiles(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Distinct (block sizes of p, block sizes of K(p), multiplicity) over
+    NC(n), by enumerating NC(n) and taking every Kreweras complement."""
+    counter = Counter((_sizes(p), _sizes(kreweras(p))) for p in nc_all(n))
+    return tuple((a, b, k) for (a, b), k in sorted(counter.items()))
+
+
+def product_over(sizes: tuple[int, ...], values: tuple[Fraction, ...]) -> Fraction:
+    out = Fraction(1)
+    for s in sizes:
+        out *= values[s - 1]
+    return out
+
+
+def lattice_kreweras_cumulants(ka, kb) -> tuple[Fraction, ...]:
+    """k_n(ab) = sum over p in NC(n) of k_p(a) k_{K(p)}(b), from the profile
+    table."""
+    ka, kb = tuple(ka), tuple(kb)
+    return tuple(
+        sum(
+            (mult * product_over(sizes, ka) * product_over(csizes, kb) for sizes, csizes, mult in nc_profiles(n)),
+            Fraction(0),
+        )
+        for n in range(1, len(ka) + 1)
+    )
+
+
+def lattice_free_mult(a, b) -> tuple[Fraction, ...]:
+    """Moments of the product of free elements with moments a and b, all on
+    the lattice: Mobius cumulants, the complement pairing, the moment sum."""
+    return lattice_moments(lattice_kreweras_cumulants(mobius_cumulants(a), mobius_cumulants(b)))
 
 
 def lattice_moments(kappa) -> tuple[Fraction, ...]:
     """m_n = sum over NC(n) of the product of k_{|B|}, from the profile table."""
     values = tuple(kappa)
     return tuple(
-        sum((mult * _product_over(sizes, values) for sizes, _c, mult in _nc_profiles(n)), Fraction(0))
+        sum((mult * product_over(sizes, values) for sizes, _c, mult in nc_profiles(n)), Fraction(0))
         for n in range(1, len(values) + 1)
     )
 
@@ -127,7 +167,7 @@ def mobius_cumulants(moments) -> tuple[Fraction, ...]:
     values = tuple(moments)
     return tuple(
         sum(
-            (mult * _product_over(sizes, values) * _mobius_to_top(csizes) for sizes, csizes, mult in _nc_profiles(n)),
+            (mult * product_over(sizes, values) * _mobius_to_top(csizes) for sizes, csizes, mult in nc_profiles(n)),
             Fraction(0),
         )
         for n in range(1, len(values) + 1)
@@ -141,7 +181,7 @@ def triangular_cumulants(moments) -> tuple[Fraction, ...]:
     for n in range(1, len(values) + 1):
         padded = tuple(kappa) + (Fraction(0),) * n
         rest = sum(
-            (mult * _product_over(sizes, padded) for sizes, _c, mult in _nc_profiles(n) if sizes != (n,)),
+            (mult * product_over(sizes, padded) for sizes, _c, mult in nc_profiles(n) if sizes != (n,)),
             Fraction(0),
         )
         kappa.append(values[n - 1] - rest)
@@ -153,8 +193,8 @@ def lattice_clt_parts(kappa, n: int, N: int) -> tuple[Fraction, Fraction]:
     whole + half * sqrt(N): a partition with b blocks carries N^(b - n/2)."""
     values = tuple(kappa)
     whole = half = Fraction(0)
-    for sizes, _csizes, mult in _nc_profiles(n):
-        term = mult * _product_over(sizes, values)
+    for sizes, _csizes, mult in nc_profiles(n):
+        term = mult * product_over(sizes, values)
         e2 = 2 * len(sizes) - n  # twice the exponent of N
         if e2 % 2 == 0:
             whole += term * Fraction(N) ** (e2 // 2)

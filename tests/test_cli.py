@@ -5,10 +5,12 @@ CSV renderings carry an exact column next to the decimal one."""
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -119,6 +121,8 @@ def test_bad_input_exits_2(argv):
         ["cox", "redt", "--family", "B", "--rank", "3", "--length-cap", "-1"],
         ["cox", "hurwitz", "--family", "B", "--rank", "3", "--fact-rank-cap", "-1"],
         ["free", "m2c", "--moments=1e20000"],  # exponent notation
+        ["rmt", "verify", "--seed", "-1"],
+        ["rmt", "verify", "--seed", str(2**128)],  # a Philox key has 128 bits
     ],
     ids=lambda a: " ".join(a),
 )
@@ -161,6 +165,16 @@ def test_resource_caps_exit_3(monkeypatch):
         ).exit_code
         == 3
     )
+
+
+def test_kreweras_route_ignores_the_enumeration_cap(monkeypatch):
+    rng = random.Random(13)
+    a, b = ([Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(13)] for _ in "ab")
+    mult = ["free", "mult", f"--a={','.join(map(str, a))}", f"--b={','.join(map(str, b))}", "--route"]
+    monkeypatch.setenv("NONCROSS_CAP", "4")
+    kreweras = cli.run(mult + ["kreweras"])
+    assert kreweras.exit_code == 0
+    assert kreweras.payload["values"] == cli.run(mult + ["stransform"]).payload["values"]
 
 
 def test_interval_commands_are_bounded_by_the_enumeration_cap(monkeypatch):
@@ -247,6 +261,11 @@ def test_importing_the_cli_does_not_load_numpy():
 
 def test_a_command_runs_only_the_layers_it_calls():
     assert loads(["nc", "count", "--m", "3"])["layers"] == ["partitions"]
+    for free in (
+        ["free", "mult", "--a", "0,1,0,2", "--b", "1,2,5,14", "--route", "kreweras"],
+        ["free", "law", "--name", "semicircle", "--order", "6"],
+    ):
+        assert loads(free)["layers"] == ["series", "freeprob"]
     cox = loads(["cox", "nccount", "--family", "A", "--rank", "3"])
     assert "freeprob" not in cox["layers"] and "series" not in cox["layers"]
     assert "fractions" not in cox["modules"]
@@ -297,10 +316,12 @@ LONG_VALUES = ",".join(["1/" + "7" * 1000] * 30)
         (["free", "c2m", "--cumulants", LONG_VALUES], 5),
         (["free", "add", "--a", LONG_VALUES, "--b", LONG_VALUES], 6),
         (["free", "mult", "--a", LONG_VALUES, "--b", LONG_VALUES], 3),
+        (["free", "clt", "--base", LONG_VALUES, "--n", "4"], 5),
+        (["free", "clt", "--base", LONG_VALUES, "--n", "4", "--even"], 6),
     ],
     ids=[
         "float-overflow", "huge-cumulants", "digit-limit", "even-orders",
-        "long-m2c", "long-c2m", "long-add", "long-mult",
+        "long-m2c", "long-c2m", "long-add", "long-mult", "long-clt", "long-clt-even",
     ],
 )
 def test_an_unprintable_free_value_exits_3_naming_its_order(argv, order, capsys):

@@ -19,6 +19,7 @@ from helpers import (
     bessel_by_inversion,
     functional_r_transform,
     lattice_clt_even_moments,
+    lattice_free_mult,
     lattice_clt_moments,
     lattice_moments,
     mobius_cumulants,
@@ -37,7 +38,8 @@ from noncross.errors import (
     VanishingFirstMoment,
 )
 from noncross.freeprob import CumulantSequence, MomentSequence
-from noncross.partitions import SERIES_ORDER_CAP, catalan
+from noncross.caps import SERIES_ORDER_CAP
+from noncross.partitions import catalan
 
 small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -223,19 +225,15 @@ def test_pair_count_vanishes_at_odd_orders():
         nc_pair_count(-1)
 
 
-def test_kreweras_route_is_capped_by_the_enumeration_cap(monkeypatch):
-    a = MomentSequence.of([1] * 7)
-    # The profile tables up to order 7 are cached from here on; a lower cap
-    # must still bound the route.
-    assert F.free_mult_convolve_kreweras(a, a).order == 7
-    monkeypatch.setenv("NONCROSS_CAP", "6")
-    with pytest.raises(ResourceCapExceeded):
-        F.free_mult_convolve_kreweras(a, a)
-    six = MomentSequence.of([1] * 6)
-    assert F.free_mult_convolve_kreweras(six, six).order == 6
-    # The transforms themselves enumerate nothing.
-    assert F.free_mult_convolve_stransform(a, a).order == 7
-    assert F.cumulants_to_moments(CumulantSequence.of([1] * 13)).order == 13
+@pytest.mark.parametrize("order", range(1, 11))
+def test_kreweras_closed_form_matches_the_enumerated_pair_sum(order):
+    rng = random.Random(order)
+    for zero_first in ((), (0,), (1,), (0, 1)):
+        pair = [random_fractions(rng, order), random_fractions(rng, order)]
+        for side in zero_first:
+            pair[side][0] = Fraction(0)
+        a, b = (MomentSequence.of(v) for v in pair)
+        assert F.free_mult_convolve_kreweras(a, b).values == lattice_free_mult(*pair), zero_first
 
 
 def test_series_order_is_capped():
@@ -244,6 +242,7 @@ def test_series_order_is_capped():
         lambda: F.moments_to_cumulants(MomentSequence.of(over)),
         lambda: F.cumulants_to_moments(CumulantSequence.of(over)),
         lambda: F.s_transform(MomentSequence.of(over)),
+        lambda: F.free_mult_convolve_kreweras(MomentSequence.of(over), MomentSequence.of(over)),
         lambda: F.clt_even_moments(CumulantSequence.of(over), 3),
         lambda: F.semicircle_moments(SERIES_ORDER_CAP + 1),
         lambda: F.free_bessel_moments(2, SERIES_ORDER_CAP + 1),
