@@ -169,8 +169,11 @@ def test_resource_caps_exit_3(monkeypatch):
 
 def test_kreweras_route_ignores_the_enumeration_cap(monkeypatch):
     rng = random.Random(13)
-    a, b = ([Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(13)] for _ in "ab")
-    mult = ["free", "mult", f"--a={','.join(map(str, a))}", f"--b={','.join(map(str, b))}", "--route"]
+
+    def order_13() -> str:
+        return ",".join(str(Fraction(rng.randint(1, 6), rng.randint(1, 4))) for _ in range(13))
+
+    mult = ["free", "mult", "--a", order_13(), "--b", order_13(), "--route"]
     monkeypatch.setenv("NONCROSS_CAP", "4")
     kreweras = cli.run(mult + ["kreweras"])
     assert kreweras.exit_code == 0
