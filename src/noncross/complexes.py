@@ -7,6 +7,12 @@ characteristic of the order complex of its open part, where reduced means
 the empty simplex is counted (f_{-1} = 1), so the empty complex carries -1
 and a single point carries 0.
 
+The f-vector of an open interval (p, q) is counted in closed form.  [p, q] is
+the product of the full lattices NC(s) over the blockwise complement sizes
+s (Kreweras 1972); NC(s) has C(ks, s - 1) / s multichains of k steps from
+bottom to top (Edelman 1980), multichain counts multiply over a product, and
+binomial inversion turns them into strict chains.
+
 Chain statistics over the full lattice come from the cover relation, which
 is structural: a cover of p merges two of its blocks, and it lies in NC(m)
 exactly when the merged partition is non-crossing, i.e. found in an index of
@@ -18,26 +24,22 @@ paths, and whether every element lies on a maximal chain off the covers.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from .errors import FormatError, NotComparable
-from .partitions import NCPartition, _Above, enumerate_nc, interval, rank
+from .partitions import NCPartition, _check_cap, blockwise_complement, enumerate_nc, rank
 
 
 class SimplicialComplex(NamedTuple):
-    """An abstract simplicial complex over labeled vertices, by its f-vector.
+    """An abstract simplicial complex by its f-vector.
 
     ``f_vector[d]`` counts d-dimensional simplices (d+1 vertices); the empty
     simplex is not stored but always counted by the reduced Euler
     characteristic.
     """
 
-    vertices: tuple[str, ...]
     f_vector: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.f_vector) - 1
 
 
 def reduced_euler_characteristic(k: SimplicialComplex) -> int:
@@ -48,47 +50,25 @@ def reduced_euler_characteristic(k: SimplicialComplex) -> int:
     return total
 
 
-def _chain_scan(above: list[list[int]]) -> list[int]:
-    """The f-vector of the chains of a strict order on 0..n-1, given the
-    elements above each one.
-
-    Every chain is visited exactly once through its increasing enumeration.
-    """
-    f: list[int] = []
-
-    def walk(i: int, depth: int) -> None:
-        if depth == len(f):
-            f.append(0)
-        f[depth] += 1
-        for j in above[i]:
-            walk(j, depth + 1)
-
-    for i in range(len(above)):
-        walk(i, 0)
-    return f
-
-
 def order_complex_open_interval(p: NCPartition, q: NCPartition) -> SimplicialComplex:
     """The order complex of {w : p < w < q}, by its f-vector.
 
-    The elements below each w come from [p, w], walked blockwise from p, so
-    no pairwise comparison over the interval is needed.
+    Z(k), the product of C(ks, s - 1) / s over the factors NC(s), counts the
+    multichains p = x_0 <= ... <= x_k = q.  A strict chain of j steps from p
+    to q sits under C(k, j) of them (pick the steps that move), so the strict
+    chain counts b_j solve Z(i) = sum of C(i, j) b_j over j <= i, and a
+    strict chain of j steps has j - 1 interior elements: f_{j-2} = b_j.  The
+    enumeration cap bounds m, as for :func:`partitions.mobius_nc`.
     """
     if p == q:
         raise NotComparable("open interval needs p strictly below q")
-    elems = interval(p, q)[1:-1]
-    walk = _Above(p)
-    index = {walk.key(w.blocks): i for i, w in enumerate(elems)}
-    above: list[list[int]] = [[] for _ in elems]
-    for j, w in enumerate(elems):
-        for v in walk.interval_keys(w.blocks):
-            i = index.get(v)
-            if i is not None and i != j:
-                above[i].append(j)
-    return SimplicialComplex(
-        vertices=tuple(str(w) for w in elems),
-        f_vector=tuple(_chain_scan(above)),
-    )
+    sizes = blockwise_complement(p, q)
+    _check_cap(q.m)
+    chains: list[int] = []
+    for i in range(rank(q) - rank(p) + 1):
+        multichains = prod(comb(i * s, s - 1) // s for s in sizes)
+        chains.append(multichains - sum(comb(i, j) * b for j, b in enumerate(chains)))
+    return SimplicialComplex(f_vector=tuple(chains[2:]))
 
 
 # ---------------------------------------------------------------------------

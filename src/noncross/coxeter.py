@@ -150,15 +150,6 @@ class CoxeterContext:
             raise FormatError(f"{list(w)} is not an element of {self.family}_{self.rank}")
         return w
 
-    def reflection_name(self, t: Window) -> str:
-        return self.name_of[t]
-
-    def reflection_by_name(self, name: str) -> Window:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FormatError(f"unknown reflection {name!r}") from None
-
     def __repr__(self) -> str:
         return f"CoxeterContext({self.family}_{self.rank}, |T|={len(self.reflections)})"
 

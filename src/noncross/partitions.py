@@ -20,9 +20,9 @@ i -> i+1.  This matches the picture of dual points placed in the arcs
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import cache
-from itertools import chain, product
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
@@ -313,6 +313,47 @@ def mobius_closed(p: NCPartition, q: NCPartition) -> int:
     return out
 
 
+def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts of at most largest, parts non-increasing."""
+    if not n:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _integer_partitions(n - first, first):
+            yield (first, *rest)
+
+
+@cache
+def _mobius_full(s: int) -> int:
+    """mu(bottom, top) of NC(s) by the defining recursion mu_s = -sum of
+    mu(bottom, x) over x < top, summed by block type: [bottom, x] is the
+    product of NC(|B|) over the blocks B of x, and NC(s) has
+    s! / ((s - k + 1)! * prod m_i!) elements whose k block sizes take each
+    value m_i times (Kreweras 1972)."""
+    if s == 1:
+        return 1
+    total = 0
+    for sizes in _integer_partitions(s, s - 1):
+        count = factorial(s) // factorial(s - len(sizes) + 1)
+        count //= prod(map(factorial, Counter(sizes).values()))
+        total += count * prod(map(_mobius_full, sizes))
+    return -total
+
+
+def mobius_nc(p: NCPartition, q: NCPartition) -> int:
+    """Mobius value by the defining recursion: mu(p, p) = 1 and, for p < q,
+    mu(p, q) = -sum of mu(p, v) over p <= v < q.
+
+    [p, q] is the product of the full lattices NC(s) over the blockwise
+    complement sizes s, and mu multiplies over a product, so the recursion
+    runs once per size, over the block types of NC(s).  The enumeration cap
+    bounds m, as for :func:`iter_nc`.
+    """
+    sizes = blockwise_complement(p, q)
+    _check_cap(q.m)
+    return prod(map(_mobius_full, sizes))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration.
 #
@@ -326,9 +367,8 @@ def mobius_closed(p: NCPartition, q: NCPartition) -> int:
 # first gap's lists are streamed outermost, and the later gaps' lists, held
 # while b1 is fixed, run inside them in gap order, which is lex order.  Only
 # label tuples of at most _SHORT labels keep their lists, at most C_7 = 429
-# each, in a process-wide cache.  Its keys are sets of at most 7 labels from
-# 1..m, m under the enumeration cap; over NC(m) they are runs of consecutive
-# labels, at most 7m + 1 of them.
+# each, in a process-wide cache.  Its keys are runs of consecutive labels
+# from 1..m, m under the enumeration cap: at most 7m + 1 of them.
 
 _SHORT = 7
 
@@ -390,71 +430,3 @@ def enumerate_nc(m: int) -> list[NCPartition]:
 def count_nc(m: int) -> int:
     """|NC(m)|, counted over the enumeration without building partitions."""
     return sum(1 for _ in _nc_blocklists(m))
-
-
-class _Above:
-    """Walks intervals [p, w] upward from p, one block C of w at a time:
-    p <= w holds blockwise, so [p, w] is the product of the members of NC(C)
-    above p restricted to C.  A partition's key sums s * (m + 1)^i over each
-    label i whose block goes on to s; the digits make keys distinct, and a
-    product's key is the sum of its factors' keys, so no tuple is sorted."""
-
-    def __init__(self, p: NCPartition):
-        self._pix = p.index_map()
-        power = [(p.m + 1) ** i for i in range(p.m + 1)]
-        self._block_key = cache(lambda b: sum(s * power[a] for a, s in zip(b, b[1:])))
-        self._keys: dict[tuple[int, ...], list[int]] = {}
-
-    def coarsenings(self, C: tuple[int, ...]) -> Iterable[Blocks]:
-        """Members of NC(C) above p restricted to C, C a union of p's blocks."""
-        pix = self._pix
-        parts = len({pix[e] for e in C})
-        lists = _blocklists(C)
-        if parts == len(C):
-            return lists
-        # above p iff no block of p meets two of its blocks
-        return (bl for bl in lists if sum(len({pix[e] for e in b}) for b in bl) == parts)
-
-    def key(self, blocks: Blocks) -> int:
-        return sum(map(self._block_key, blocks))
-
-    def interval_keys(self, blocks: Blocks) -> list[int]:
-        """Keys of every v with p <= v <= w, for w given by its blocks."""
-        out = [0]
-        for C in blocks:
-            keys = self._keys.get(C)
-            if keys is None:
-                keys = self._keys[C] = list(map(self.key, self.coarsenings(C)))
-            out = [a + k for a in out for k in keys]
-        return out
-
-
-def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
-    """All w with p <= w <= q, sorted by rank then block tuples; the
-    enumeration cap bounds m, as for :func:`iter_nc`."""
-    if not refine_le(p, q):
-        raise NotComparable(f"{p} is not a refinement of {q}")
-    _check_cap(q.m)
-    walk = _Above(p)
-    elems = [
-        NCPartition(q.m, tuple(sorted(chain.from_iterable(combo))))
-        for combo in product(*[tuple(walk.coarsenings(B)) for B in q.blocks])
-    ]
-    elems.sort(key=lambda w: (rank(w), w.blocks))
-    return elems
-
-
-def mobius_nc(p: NCPartition, q: NCPartition) -> int:
-    """Mobius value by the defining recursion: mu(p, p) = 1 and, for p < q,
-    mu(p, q) = -sum of mu(p, v) over p <= v < q.
-
-    Values mu(p, w) are accumulated upward in rank order; each step sums over
-    [p, w], walked blockwise from p, so no comparability scan is needed.
-    """
-    walk = _Above(p)
-    mu: dict[int, int] = {}
-    for w in interval(p, q):
-        k = walk.key(w.blocks)
-        mu[k] = 0  # leaves w out of its own sum
-        mu[k] = 1 if w == p else -sum(map(mu.__getitem__, walk.interval_keys(w.blocks)))
-    return mu[walk.key(q.blocks)]

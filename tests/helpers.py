@@ -1,24 +1,37 @@
-"""Shared oracles for the test suite.
+"""Shared oracles for the test suite, and the wall-clock budget that the
+acceptance gate and the command tests run their checks under.
 
-Everything here is deliberately written from first principles — slow,
+Every oracle here is deliberately written from first principles — slow,
 literal implementations used to cross-check the fast library code.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from noncross.coxeter import _reflection_length, generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError, OrderMismatch
 from noncross.freeprob import MomentSequence, moment_series
-from noncross.partitions import NCPartition, catalan, enumerate_nc, kreweras
+from noncross.partitions import NCPartition, catalan, enumerate_nc, kreweras, rank, refine_le
 from noncross.series import RationalSeries
 
 Blocks = tuple[tuple[int, ...], ...]
+
+
+@contextmanager
+def budget(criterion: str, seconds: float):
+    """Fail the enclosing check when its body runs longer than seconds."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"{criterion}: {elapsed:.1f}s exceeded {seconds}s budget"
+    print(f"PASS {criterion} in {elapsed:.2f}s")
 
 
 def all_set_partitions(m: int) -> list[Blocks]:
@@ -379,6 +392,107 @@ def mobius_table(le: list[list[bool]]) -> dict[tuple[int, int], int]:
 
 
 # ---------------------------------------------------------------------------
+# Oracles for intervals [p, q] of NC(m), walked element by element.  The
+# library reads mu and the f-vector off the sizes of the full lattices whose
+# product is [p, q]; these list the interval, run the defining Mobius
+# recursion over it and visit every chain of its open part.
+
+
+class IntervalWalk:
+    """Walks intervals [p, w] upward from p, one block C of w at a time:
+    p <= w holds blockwise, so [p, w] is the product of the members of NC(C)
+    above p restricted to C.  A partition's key sums s * (m + 1)^i over each
+    label i whose block goes on to s; the digits make keys distinct, and a
+    product's key is the sum of its factors' keys, so no tuple is sorted."""
+
+    def __init__(self, p: NCPartition):
+        self._pix = p.index_map()
+        power = [(p.m + 1) ** i for i in range(p.m + 1)]
+        self._block_key = cache(lambda b: sum(s * power[a] for a, s in zip(b, b[1:])))
+        self._keys: dict[tuple[int, ...], list[int]] = {}
+
+    def coarsenings(self, C: tuple[int, ...]) -> list[Blocks]:
+        """Members of NC(C) above p restricted to C, C a union of p's blocks:
+        NC(|C|) relabeled through C, which keeps the lexicographic order."""
+        pix = self._pix
+        parts = len({pix[e] for e in C})
+        lists = (tuple(tuple(C[i - 1] for i in b) for b in w.blocks) for w in nc_all(len(C)))
+        # above p iff no block of p meets two of its blocks
+        return [bl for bl in lists if sum(len({pix[e] for e in b}) for b in bl) == parts]
+
+    def key(self, blocks: Blocks) -> int:
+        return sum(map(self._block_key, blocks))
+
+    def interval_keys(self, blocks: Blocks) -> list[int]:
+        """Keys of every v with p <= v <= w, for w given by its blocks."""
+        out = [0]
+        for C in blocks:
+            keys = self._keys.get(C)
+            if keys is None:
+                keys = self._keys[C] = list(map(self.key, self.coarsenings(C)))
+            out = [a + k for a in out for k in keys]
+        return out
+
+
+def interval(p: NCPartition, q: NCPartition) -> list[NCPartition]:
+    """All w with p <= w <= q, sorted by rank then block tuples."""
+    assert refine_le(p, q), f"{p} is not a refinement of {q}"
+    walk = IntervalWalk(p)
+    elems = [
+        NCPartition(q.m, tuple(sorted(chain.from_iterable(combo))))
+        for combo in product(*[walk.coarsenings(B) for B in q.blocks])
+    ]
+    elems.sort(key=lambda w: (rank(w), w.blocks))
+    return elems
+
+
+def mobius_walk(p: NCPartition, q: NCPartition) -> int:
+    """mu(p, q) by the defining recursion over the elements of [p, q]:
+    mu(p, p) = 1 and mu(p, w) = -sum of mu(p, v) over p <= v < w, upward in
+    rank order."""
+    walk = IntervalWalk(p)
+    mu: dict[int, int] = {}
+    for w in interval(p, q):
+        k = walk.key(w.blocks)
+        mu[k] = 0  # leaves w out of its own sum
+        mu[k] = 1 if w == p else -sum(map(mu.__getitem__, walk.interval_keys(w.blocks)))
+    return mu[walk.key(q.blocks)]
+
+
+def chain_scan(above: list[list[int]]) -> list[int]:
+    """The f-vector of the chains of a strict order on 0..n-1, given the
+    elements above each one; every chain is visited once through its
+    increasing enumeration."""
+    f: list[int] = []
+
+    def walk(i: int, depth: int) -> None:
+        if depth == len(f):
+            f.append(0)
+        f[depth] += 1
+        for j in above[i]:
+            walk(j, depth + 1)
+
+    for i in range(len(above)):
+        walk(i, 0)
+    return f
+
+
+def walked_f_vector(p: NCPartition, q: NCPartition) -> tuple[int, ...]:
+    """The f-vector of the order complex of {w : p < w < q} by
+    :func:`chain_scan` over the open interval."""
+    elems = interval(p, q)[1:-1]
+    walk = IntervalWalk(p)
+    index = {walk.key(w.blocks): i for i, w in enumerate(elems)}
+    above: list[list[int]] = [[] for _ in elems]
+    for j, w in enumerate(elems):
+        for v in walk.interval_keys(w.blocks):
+            i = index.get(v)
+            if i is not None and i != j:
+                above[i].append(j)
+    return tuple(chain_scan(above))
+
+
+# ---------------------------------------------------------------------------
 # Oracles for the Coxeter layer: whole-group scans, exact linear algebra and
 # the defining properties that the library replaces by signed cycle types.
 
@@ -512,6 +626,15 @@ def conjugacy_class(ctx, w) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def reflection_by_name(ctx, name: str):
+    """The reflection printed as name, by inverting the context's names."""
+    by_name = {n: t for t, n in ctx.name_of.items()}
+    try:
+        return by_name[name]
+    except KeyError:
+        raise FormatError(f"unknown reflection {name!r}") from None
 
 
 def greedy_factorization(ctx, w) -> list:

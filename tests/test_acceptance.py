@@ -8,13 +8,20 @@ their seeds so reruns are bit-identical.
 
 import random
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 import noncross.coxeter as cx
-from helpers import bfs_reflection_length, fixed_space, lattice_free_mult, pointwise_stabilizer
+from helpers import (
+    bfs_reflection_length,
+    budget,
+    fixed_space,
+    lattice_free_mult,
+    mobius_walk,
+    pointwise_stabilizer,
+    walked_f_vector,
+)
 from noncross import (
     CrossingPartition,
     CumulantSequence,
@@ -54,15 +61,6 @@ from noncross import (
 SEED = 20260814
 
 
-@contextmanager
-def budget(criterion: str, seconds: float):
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"{criterion}: {elapsed:.1f}s exceeded {seconds}s budget"
-    print(f"PASS {criterion} in {elapsed:.2f}s")
-
-
 def bottom(m: int) -> NCPartition:
     return NCPartition.parse("|".join(str(i) for i in range(1, m + 1)))
 
@@ -95,6 +93,7 @@ def test_c03_full_interval_mobius_matches_signed_catalan_both_routes():
         for m in range(2, 10):
             expected = (-1) ** (m - 1) * catalan(m - 1)
             assert mobius_nc(bottom(m), top(m)) == expected, m
+            assert mobius_walk(bottom(m), top(m)) == expected, m
             assert mobius_closed(bottom(m), top(m)) == expected, m
 
 
@@ -219,6 +218,7 @@ def test_c09_order_complex_euler_characteristic_equals_mobius_everywhere():
                 for q in elems:
                     if p != q and refine_le(p, q):
                         complex_ = order_complex_open_interval(p, q)
+                        assert complex_.f_vector == walked_f_vector(p, q)
                         assert reduced_euler_characteristic(complex_) == mobius_nc(p, q)
 
 

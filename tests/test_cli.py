@@ -18,6 +18,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import noncross
+from helpers import budget
 from noncross import caps, cli, randmat
 from noncross.caps import SERIES_ORDER_CAP
 
@@ -189,6 +190,16 @@ def test_interval_commands_are_bounded_by_the_enumeration_cap(monkeypatch):
     assert cli.run(["nc", "mobius", "--m", "7"]).exit_code == 0
     assert cli.run(["topo", "euler", "--p", "1|2|3|4|5|6|7|8|9|10", "--q", "1 2|3 4 5|6|7 8 9 10"]).exit_code == 0
 
+
+
+def test_interval_commands_at_the_cap_enumerate_nothing():
+    with budget("topo euler and nc mobius at m=12", 2):
+        euler = cli.run(["topo", "euler", "--m", "12"])
+        mobius = cli.run(["nc", "mobius", "--m", "12"])
+    assert euler.exit_code == mobius.exit_code == 0
+    assert sum(euler.payload["f_vector"]) == 1_882_449_265_797
+    assert euler.payload["euler_reduced"] == euler.payload["mobius"] == -58786
+    assert mobius.payload["recursive"] == mobius.payload["closed_form"] == -58786
 
 @pytest.mark.parametrize("command", ["ncset", "nccount", "dualrel"])
 def test_a_non_coxeter_element_is_rejected_where_c_must_be_coxeter(command, capsys):

@@ -27,6 +27,7 @@ from helpers import (
     nc_scan,
     pairwise_lattice_check,
     pointwise_stabilizer,
+    reflection_by_name,
     root_of,
 )
 from noncross import coxeter as C
@@ -125,10 +126,10 @@ def test_every_reflection_acts_by_its_root(family, rk):
 def test_reflection_names_roundtrip(family, rk):
     context = ctx(family, rk)
     for t in context.reflections:
-        name = context.reflection_name(t)
-        assert context.reflection_by_name(name) == t
+        name = context.name_of[t]
+        assert reflection_by_name(context, name) == t
     with pytest.raises(FormatError):
-        context.reflection_by_name("t(99,100,+)")
+        reflection_by_name(context, "t(99,100,+)")
 
 
 def test_context_rejects_bad_input():
