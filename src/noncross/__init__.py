@@ -2,12 +2,13 @@
 
 Six layers, each importable on its own: ``partitions`` (the lattice NC(m):
 enumeration, meet/join, Kreweras complement, Mobius values), ``series``
-(truncated rational power series), ``freeprob`` (moment/free-cumulant
-transforms, free convolutions, named laws, central-limit moments),
-``coxeter`` (dual Coxeter systems of types A/B/D: NC(W, c), reflection
-factorizations, Hurwitz orbits, quasi-Coxeter tests), ``complexes`` (order
-complexes of intervals of NC(m), chain censuses) and ``randmat`` (a Ginibre
-Monte Carlo check of ``freeprob``).  Caps live in ``noncross.caps`` and the
+(the power-table and series-inverse kernels of the transforms, and the
+rational parsers), ``freeprob`` (moment/free-cumulant transforms, free
+convolutions, named laws, central-limit moments), ``coxeter`` (dual
+Coxeter systems of types A/B/D: NC(W, c), reflection factorizations,
+Hurwitz orbits, quasi-Coxeter tests), ``complexes`` (order complexes of
+intervals of NC(m), chain censuses) and ``randmat`` (a Ginibre Monte Carlo
+check of ``freeprob``).  Caps live in ``noncross.caps`` and the
 command line in ``noncross.cli``.
 
 Importing the package runs no layer.  Each layer sits in ``sys.modules`` as
@@ -36,10 +37,8 @@ _EXPORTS = {
         "CumulantSequence", "MomentSequence", "clt_even_moments", "clt_moments",
         "cumulants_to_moments", "free_add_convolve", "free_bessel_moments",
         "free_mult_convolve_kreweras", "free_mult_convolve_stransform",
-        "free_poisson_moments", "moments_to_cumulants", "r_transform",
-        "s_transform", "semicircle_moments",
+        "free_poisson_moments", "moments_to_cumulants", "semicircle_moments",
     ),
-    "series": ("RationalSeries",),
     "coxeter": (
         "CoxeterContext", "ReflectionFactorization", "absolute_length", "abs_le",
         "duality", "hurwitz_orbits", "is_coxeter_element",

@@ -206,18 +206,18 @@ _LAWS = ("semicircle", "free-poisson", "free-bessel")
 
 
 def _free_law(args) -> dict:
-    if args.name == "semicircle":
-        seq = freeprob.semicircle_moments(args.order)
-    elif args.name == "free-poisson":
-        seq = freeprob.free_poisson_moments(args.order)
-    else:
+    if args.name == "free-bessel":
         if args.ell is None:
             raise FormatError("free-bessel needs --ell")
         seq = freeprob.free_bessel_moments(args.ell, args.order)
-    extra = {"law": args.name}
+        return _seq_payload("law_moments", seq, law=args.name, ell=args.ell)
     if args.ell is not None:
-        extra["ell"] = args.ell
-    return _seq_payload("law_moments", seq, **extra)
+        raise FormatError(f"--ell applies to free-bessel only, not to {args.name}")
+    if args.name == "semicircle":
+        seq = freeprob.semicircle_moments(args.order)
+    else:
+        seq = freeprob.free_poisson_moments(args.order)
+    return _seq_payload("law_moments", seq, law=args.name)
 
 
 def _free_clt(args) -> dict:

@@ -28,7 +28,7 @@ from .errors import (
     ResourceCapExceeded,
     VanishingFirstMoment,
 )
-from .series import RationalSeries, Rat, _frac, _inverse_coeffs, _power_columns, parse_rationals
+from .series import Rat, _frac, _inverse_coeffs, _power_columns, parse_rationals
 
 
 class _Sequence(Frozen):
@@ -41,7 +41,10 @@ class _Sequence(Frozen):
 
     @classmethod
     def of(cls, values: Iterable[Rat]):
-        return cls(tuple(_frac(v) for v in values))
+        values = tuple(_frac(v) for v in values)
+        if not values:
+            raise FormatError(f"a {cls.__name__} needs at least one value")
+        return cls(values)
 
     @classmethod
     def parse(cls, text: str):
@@ -61,9 +64,6 @@ class _Sequence(Frozen):
 
     def __str__(self) -> str:
         return ", ".join(str(v) for v in self.values)
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "values": [str(v) for v in self.values]}
 
 
 class MomentSequence(_Sequence):
@@ -214,20 +214,6 @@ def free_mult_convolve_kreweras(a: MomentSequence, b: MomentSequence) -> MomentS
     return MomentSequence(tuple(iter_free_mult_kreweras(a, b)))
 
 
-# ---------------------------------------------------------------------------
-# Transform calculus.
-
-
-def moment_series(m: MomentSequence) -> RationalSeries:
-    """M(z) = sum m_n z^n as a truncated series (constant term 0)."""
-    return RationalSeries((Fraction(0),) + m.values)
-
-
-def r_transform(m: MomentSequence) -> RationalSeries:
-    """R(z) = sum k_n z^n, the cumulant series; it solves R(z M(z) + z) = M(z)."""
-    return RationalSeries((Fraction(0),) + moments_to_cumulants(m).values)
-
-
 def _iter_s(m: MomentSequence) -> Iterator[Fraction]:
     """S_0, ..., S_{N-1} of S(z) = (1 + z) M^{(-1)}(z) / z: with M^{(-1)}(z)
     = h_1 z + h_2 z^2 + ..., S_k = h_{k+1} + h_k, one per inverse coefficient."""
@@ -238,15 +224,6 @@ def _iter_s(m: MomentSequence) -> Iterator[Fraction]:
     for h in _inverse_coeffs(m.values, m.order):
         yield h + previous
         previous = h
-
-
-def s_transform(m: MomentSequence) -> RationalSeries:
-    """S(z) = (1 + z)/z * M^{(-1)}(z).
-
-    Needs m_1 != 0.  The result is truncated at order N - 1 (constant term
-    1/m_1 included), which is exactly what order-N moments determine.
-    """
-    return RationalSeries(tuple(_iter_s(m)))
 
 
 def iter_free_mult_stransform(a: MomentSequence, b: MomentSequence) -> Iterator[Fraction]:

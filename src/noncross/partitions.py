@@ -130,9 +130,6 @@ class SetPartition(Frozen):
     def __str__(self) -> str:
         return "|".join(" ".join(map(str, b)) for b in self.blocks)
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "blocks": [list(b) for b in self.blocks]}
-
 
 def is_noncrossing(p: SetPartition) -> bool:
     """True when no a < b < c < d have a, c in one block and b, d in another.

@@ -16,10 +16,10 @@ from functools import cache
 from itertools import chain, combinations, product
 
 from noncross.coxeter import _reflection_length, generated_subgroup, identity, inv, mul
-from noncross.errors import FormatError, OrderMismatch
-from noncross.freeprob import MomentSequence, moment_series
+from noncross.errors import FormatError
+from noncross.freeprob import MomentSequence
 from noncross.partitions import NCPartition, catalan, enumerate_nc, kreweras, rank, refine_le
-from noncross.series import RationalSeries
+from noncross.series import _inverse_coeffs
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -237,63 +237,71 @@ def lattice_clt_even_moments(kappa, N: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def shift_up(f: RationalSeries) -> RationalSeries:
-    """Multiply by z (same truncation order; the top coefficient drops off)."""
-    return RationalSeries((Fraction(0),) + f.coeffs[:-1])
+# Truncated series are coefficient tuples (c_0, ..., c_N) of one order N.
 
 
-def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
+def series_product(f, g) -> tuple[Fraction, ...]:
+    """The Cauchy product of f and g, truncated at their order."""
+    return tuple(sum((f[i] * g[k - i] for i in range(k + 1)), Fraction(0)) for k in range(len(f)))
+
+
+def reciprocal(f) -> tuple[Fraction, ...]:
+    """1 / f for f with nonzero constant term."""
+    out = [1 / Fraction(f[0])]
+    for k in range(1, len(f)):
+        out.append(-out[0] * sum(f[j] * out[k - j] for j in range(1, k + 1)))
+    return tuple(out)
+
+
+def compose(f, g) -> tuple[Fraction, ...]:
     """f(g) for g with zero constant term (Horner over truncated series)."""
-    if f.order != g.order:
-        raise OrderMismatch(f"series orders differ: {f.order} vs {g.order}")
     if g[0]:
         raise FormatError("composition needs inner constant term zero")
-    out = RationalSeries.constant(f[f.order], f.order)
-    for k in range(f.order - 1, -1, -1):
-        out = out * g + RationalSeries.constant(f[k], f.order)
+    out = (f[-1],) + (Fraction(0),) * (len(f) - 1)
+    for c in reversed(f[:-1]):
+        out = series_product(out, g)
+        out = (out[0] + c,) + out[1:]
     return out
 
 
-def triangular_inverse(f: RationalSeries) -> RationalSeries:
+def triangular_inverse(f) -> tuple[Fraction, ...]:
     """f^(-1) one coefficient at a time, by a full composition per degree."""
-    n = f.order
-    h = [Fraction(0)] * (n + 1)
-    h[1] = 1 / f[1]
-    for k in range(2, n + 1):
-        h[k] = -compose(f, RationalSeries(tuple(h)))[k] / f[1]
-    return RationalSeries(tuple(h))
+    h = [Fraction(0)] * len(f)
+    h[1] = 1 / Fraction(f[1])
+    for k in range(2, len(f)):
+        h[k] = -compose(f, h)[k] / f[1]
+    return tuple(h)
 
 
-def lagrange_inverse_coefficient(f: RationalSeries, n: int) -> Fraction:
+def lagrange_inverse_coefficient(f, n: int) -> Fraction:
     """Lagrange inversion: n [z^n] f^(-1) = [z^(n-1)] (z / f(z))^n."""
-    base = RationalSeries(f.coeffs[1:] + (Fraction(0),)).reciprocal()
-    power = RationalSeries.constant(1, f.order)
+    base = reciprocal(tuple(f[1:]) + (0,))
+    power = (1,) + (0,) * (len(f) - 1)
     for _ in range(n):
-        power = power * base
+        power = series_product(power, base)
     return power[n - 1] / n
 
 
-def functional_r_transform(m: MomentSequence) -> RationalSeries:
+def functional_r_transform(m: MomentSequence) -> tuple[Fraction, ...]:
     """R from its defining equation R(z M(z) + z) = M(z)."""
-    M = moment_series(m)
-    u = shift_up(M) + RationalSeries.identity(M.order)
+    M = (Fraction(0), *m.values)
+    u = (Fraction(0), Fraction(1), *m.values[:-1])  # z M(z) + z
     return compose(M, triangular_inverse(u))
 
 
-def s_transform_via_r(m: MomentSequence) -> RationalSeries:
+def s_transform_via_r(m: MomentSequence) -> tuple[Fraction, ...]:
     """S(z) = R^(-1)(z) / z, the other defining formula."""
-    return triangular_inverse(functional_r_transform(m)).shift_down()
+    return triangular_inverse(functional_r_transform(m))[1:]
 
 
 def bessel_by_inversion(ell: int, order: int) -> tuple[Fraction, ...]:
     """Free Bessel moments from the S-transform 1/(1+z)^ell: the
-    compositional inverse of z/(1+z)^(ell+1)."""
-    one_plus_z = RationalSeries.constant(1, order) + RationalSeries.identity(order)
-    denom = RationalSeries.constant(1, order)
+    compositional inverse of z/(1+z)^(ell+1), by the production kernel."""
+    one_plus_z = (1, 1) + (0,) * (order - 2)
+    denom = (1,) + (0,) * (order - 1)
     for _ in range(ell + 1):
-        denom = denom * one_plus_z
-    minv = RationalSeries.identity(order) * denom.reciprocal()
-    return minv.compositional_inverse().coeffs[1:]
+        denom = series_product(denom, one_plus_z)
+    return tuple(_inverse_coeffs(reciprocal(denom), order))
 
 
 def nc_pair_count(n: int) -> int:

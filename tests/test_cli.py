@@ -115,6 +115,8 @@ def test_bad_input_exits_2(argv):
         ["topo", "chains", "--m", "0"],
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "0"],
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "-2"],
+        ["free", "law", "--name", "free-poisson", "--ell", "3", "--order", "3"],  # --ell without free-bessel
+        ["free", "law", "--name", "semicircle", "--ell", "1", "--order", "3"],
         ["rmt", "verify", "--threads", "-3"],
         ["cox", "quasicox", "--family", "B", "--rank", "3", "--element", "[0,1,2]"],
         ["cox", "quasicox", "--family", "A", "--rank", "1", "--element", "[true,2]"],
@@ -275,6 +277,9 @@ def test_importing_the_cli_does_not_load_numpy():
 
 def test_a_command_runs_only_the_layers_it_calls():
     assert loads(["nc", "count", "--m", "3"])["layers"] == ["partitions"]
+    assert loads(["topo", "euler", "--m", "3"])["layers"] == ["partitions", "complexes"]
+    rmt = ["rmt", "verify", "--n", "4", "--trials", "2", "--k", "2", "--seed", "0"]
+    assert loads(rmt)["layers"] == ["series", "freeprob", "randmat"]
     for free in (
         ["free", "mult", "--a", "0,1,0,2", "--b", "1,2,5,14", "--route", "kreweras"],
         ["free", "law", "--name", "semicircle", "--order", "6"],
