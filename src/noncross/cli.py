@@ -52,7 +52,7 @@ def _window(text: str) -> tuple[int, ...]:
         data = json.loads(text)
         if not isinstance(data, list) or not all(type(x) is int for x in data):
             raise ValueError
-    except (json.JSONDecodeError, ValueError):
+    except (json.JSONDecodeError, ValueError, RecursionError):  # deep nesting
         raise FormatError(f"cannot parse group element {text!r}; expected e.g. [2,-1,3]") from None
     return tuple(data)
 
@@ -595,11 +595,17 @@ def run(argv: list[str] | None = None) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> int:
     result = run(argv)
-    if result.payload is not None:
-        if result.exit_code == 0:
-            print(render(result.payload, result.fmt))
-        else:
-            print(result.payload.get("error", "error"), file=sys.stderr)
+    if result.payload is not None and result.exit_code != 0:
+        print(result.payload.get("error", "error"), file=sys.stderr)
+    elif result.payload is not None:
+        text = render(result.payload, result.fmt)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader is gone; devnull keeps the flush at exit from raising again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("stdout was closed before the output was written", file=sys.stderr)
+            return 2
     return result.exit_code
 
 

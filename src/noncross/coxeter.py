@@ -9,8 +9,10 @@ l_T(u) + l_T(u^{-1} v) = l_T(v), and the non-crossing set
 NC(W, c) = {u : u <= c} below a Coxeter element c.
 
 Reflection length is Carter's closed form l_T(w) = codim Fix(w): the letters
-minus the cycles of |w| with an even number of sign changes.  NC(W, c) is
-walked down from c, one reflection at a time, so no query builds W itself.
+minus the cycles of |w| with an even number of sign changes.  NC(W, c) and the
+reduced factorizations are walked down from c one reflection at a time, and
+each step reads its lowering reflections off the signed cycle type (see
+`_lowering`) instead of trying every t in T, so no query builds W itself.
 
 The signed cycle type also decides the remaining classes: Coxeter elements
 (Carter 1972), quasi-Coxeter and parabolic quasi-Coxeter elements
@@ -25,17 +27,13 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import partitions  # a lazy module: only the type A bridge runs it
 from .caps import (
     DEFAULT_FACTORIZATION_LENGTH_CAP,
     DEFAULT_FACTORIZATION_RANK_CAP,
     DEFAULT_RANK_CAP,
 )
-from .errors import (
-    FormatError,
-    NotBelowCoxeterElement,
-    ResourceCapExceeded,
-)
-from .partitions import NCPartition, _cycle_map
+from .errors import FormatError, NotBelowCoxeterElement, ResourceCapExceeded
 
 Window = tuple[int, ...]
 
@@ -95,26 +93,29 @@ class CoxeterContext:
 
     def _build_reflections(self) -> None:
         n = self.n
-        refl: list[tuple[Window, str]] = []
+        # (window, name, i, j, sign) on 0-based letters, j = -1 for t(i).
+        refl: list[tuple[Window, str, int, int, int]] = []
 
-        def add(images: dict[int, int], name: str) -> None:
+        def add(i: int, j: int, sign: int, name: str) -> None:
             w = list(identity(n))
-            for i, x in images.items():
-                w[i - 1] = x
-            refl.append((tuple(w), name))
+            w[i] = -(i + 1) if j < 0 else sign * (j + 1)
+            if j >= 0:
+                w[j] = sign * (i + 1)
+            refl.append((tuple(w), name, i, j, sign))
 
-        for i, j in combinations(range(1, n + 1), 2):
-            add({i: j, j: i}, f"t({i},{j},+)")
+        for i, j in combinations(range(n), 2):
+            add(i, j, 1, f"t({i + 1},{j + 1},+)")
         if self.family in ("B", "D"):
-            for i, j in combinations(range(1, n + 1), 2):
-                add({i: -j, j: -i}, f"t({i},{j},-)")
+            for i, j in combinations(range(n), 2):
+                add(i, j, -1, f"t({i + 1},{j + 1},-)")
         if self.family == "B":
-            for i in range(1, n + 1):
-                add({i: -i}, f"t({i})")
+            for i in range(n):
+                add(i, -1, -1, f"t({i + 1})")
 
         self.reflections: tuple[Window, ...] = tuple(r[0] for r in refl)
-        self.name_of: dict[Window, str] = dict(refl)
+        self.name_of: dict[Window, str] = {r[0]: r[1] for r in refl}
         self._by_name = {r[1]: r[0] for r in refl}
+        self._reflection_letters = tuple((r[0], *r[2:]) for r in refl)
 
     def _build_simples(self) -> None:
         n = self.n
@@ -182,13 +183,54 @@ def _closure(seeds: Iterable, step: Callable[[object], Iterable]) -> set:
     return seen
 
 
+def _cycle_walk(w: Window) -> tuple[list[int], list[int], list[tuple[int, bool]]]:
+    """One walk over the cycles of i -> |w(i)|: each letter's cycle number and
+    sign potential eps (1 on the cycle's first letter, then
+    eps(|w(i)|) = eps(i) sign w(i)), and each cycle's (length, negative); a
+    cycle is negative when an odd number of its letters change sign."""
+    cycle = [-1] * len(w)
+    eps = [1] * len(w)
+    cycles = []
+    for start in range(len(w)):
+        length, sign, i = 0, 1, start
+        while cycle[i] < 0:
+            cycle[i] = len(cycles)
+            eps[i] = sign
+            length += 1
+            if w[i] < 0:
+                sign = -sign
+            i = abs(w[i]) - 1
+        if length:
+            cycles.append((length, sign < 0))
+    return cycle, eps, cycles
+
+
 def _reflection_length(w: Window) -> int:
     """Carter's l_T(w) = codim Fix(w) for a window known to be valid."""
-    return len(w) - sum(not negative for _, negative in _signed_cycle_type(w))
+    return len(w) - sum(not negative for _, negative in _cycle_walk(w)[2])
 
 
-def _le(u: Window, v: Window) -> bool:
-    return _reflection_length(u) + _reflection_length(mul(inv(u), v)) == _reflection_length(v)
+def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:
+    """The reflections t with l_T(t u) < l_T(u), in reflection order.
+
+    t u joins the cycles of i and j, or splits their common cycle, and
+    l_T = n - #(positive cycles), so one walk over u decides every t:
+    t(i) lowers u iff i's cycle is negative; t(i, j, +-) with i and j in
+    different cycles iff both cycles are negative; in one negative cycle
+    both signs lower u, in one positive cycle only the sign eps(i) eps(j).
+    """
+    cycle, eps, cycles = _cycle_walk(u)
+    negative = [neg for _, neg in cycles]
+    out = []
+    for t, i, j, sign in ctx._reflection_letters:
+        a = cycle[i]
+        if j < 0 or a != cycle[j]:
+            lowers = negative[a] and (j < 0 or negative[cycle[j]])
+        else:
+            lowers = negative[a] or sign == eps[i] * eps[j]
+        if lowers:
+            out.append(t)
+    return out
 
 
 def absolute_length(ctx: CoxeterContext, w: Window) -> int:
@@ -198,23 +240,24 @@ def absolute_length(ctx: CoxeterContext, w: Window) -> int:
 
 def abs_le(ctx: CoxeterContext, u: Window, v: Window) -> bool:
     """Absolute order: u <= v iff l_T(u) + l_T(u^{-1} v) = l_T(v)."""
-    return _le(ctx.check_element(u), ctx.check_element(v))
+    u, v = ctx.check_element(u), ctx.check_element(v)
+    return _reflection_length(u) + _reflection_length(mul(inv(u), v)) == _reflection_length(v)
 
 
 def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
     """NC(W, c) = {u : u <= c}, sorted by (reflection length, window).
 
     The interval [1, c] is graded by l_T and the elements covered by u are
-    the t u with l_T(t u) < l_T(u), so walking those steps down from c
-    reaches all of it.
+    the t u for t in `_lowering(u)`, so walking those steps down from c
+    reaches all of it, one length at a time.
     """
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
-
-    def below(u: Window) -> Iterator[Window]:
-        k = _reflection_length(u)
-        return (tu for t in ctx.reflections if _reflection_length(tu := mul(t, u)) < k)
-
-    return sorted(_closure([c], below), key=lambda u: (_reflection_length(u), u))
+    levels = []
+    level = {c}
+    while level:
+        levels.append(sorted(level))
+        level = {mul(t, u) for u in level for t in _lowering(ctx, u)}
+    return [u for lv in reversed(levels) for u in lv]
 
 
 def duality(ctx: CoxeterContext, x: Window, c: Window | None = None) -> Window:
@@ -250,18 +293,16 @@ def _reduced_descent(ctx: CoxeterContext, w: Window) -> Iterator[tuple[Window, .
     """Reduced factorizations of w, depth-first in reflection order, cap-free.
 
     Every prefix climbs the absolute order by one, so candidates at each step
-    are the reflections t with l_T(t w_rest) = l_T(w_rest) - 1.  Every such
-    step can be completed, so the first item is the greedy factorization.
+    are the reflections `_lowering(w_rest)`; only the identity has none.
+    Every such step can be completed, so the first item is the greedy
+    factorization.
     """
-    remaining = _reflection_length(w)
-    if remaining == 0:
+    lowering = _lowering(ctx, w)
+    if not lowering:
         yield ()
-        return
-    for t in ctx.reflections:
-        tail = mul(t, w)  # t^{-1} w; reflections are involutions
-        if _reflection_length(tail) == remaining - 1:
-            for rest in _reduced_descent(ctx, tail):
-                yield (t, *rest)
+    for t in lowering:
+        for rest in _reduced_descent(ctx, mul(t, w)):  # t^{-1} w; t is an involution
+            yield (t, *rest)
 
 
 def hurwitz_act(
@@ -319,20 +360,8 @@ def hurwitz_orbits(
 
 
 def _signed_cycle_type(w: Window) -> list[tuple[int, bool]]:
-    """Sorted (length, negative) over the cycles of i -> |w(i)|; a cycle is
-    negative when an odd number of its letters change sign."""
-    seen = [False] * len(w)
-    out = []
-    for start in range(len(w)):
-        length, negative, i = 0, False, start
-        while not seen[i]:
-            seen[i] = True
-            length += 1
-            negative ^= w[i] < 0
-            i = abs(w[i]) - 1
-        if length:
-            out.append((length, negative))
-    return sorted(out)
+    """Sorted (length, negative) over the cycles of i -> |w(i)|."""
+    return sorted(_cycle_walk(w)[2])
 
 
 def is_coxeter_element(ctx: CoxeterContext, w: Window) -> bool:
@@ -415,12 +444,12 @@ def nc_lattice_check(elems: list[Window]) -> bool:
 # Type A bridge to non-crossing partitions.
 
 
-def partition_to_permutation(p: NCPartition) -> Window:
+def partition_to_permutation(p: partitions.NCPartition) -> Window:
     """The permutation cycling each block upward; orbits recover the blocks."""
-    return tuple(_cycle_map(p)[1:])
+    return tuple(partitions._cycle_map(p)[1:])
 
 
-def permutation_to_partition(ctx: CoxeterContext, w: Window, c: Window | None = None) -> NCPartition:
+def permutation_to_partition(ctx: CoxeterContext, w: Window, c: Window | None = None) -> partitions.NCPartition:
     """Orbits of w as a non-crossing partition; requires type A and w <= c.
 
     With c the long cycle i -> i+1, the map is inverse to
@@ -435,7 +464,7 @@ def permutation_to_partition(ctx: CoxeterContext, w: Window, c: Window | None = 
             f"{list(w)} is not below the reference Coxeter element"
         )
     orbits = {tuple(sorted(_closure([i], lambda x: [w[x - 1]]))) for i in range(1, ctx.n + 1)}
-    return NCPartition.of(ctx.n, orbits)
+    return partitions.NCPartition.of(ctx.n, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +473,22 @@ def permutation_to_partition(ctx: CoxeterContext, w: Window, c: Window | None = 
 
 def dual_braid_relations(ctx: CoxeterContext, c: Window | None = None) -> list[tuple[Window, Window, Window]]:
     """All relations s t = t' s with s, t distinct reflections, s t <= c and
-    t' = s t s^{-1} (again a reflection)."""
+    t' = s t s^{-1} (again a reflection).
+
+    l_T(s t) = 2, so s t <= c iff l_T(t s c) = l_T(c) - 2: s lowers c and t
+    lowers s c.
+    """
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
     out = []
-    for s in ctx.reflections:
-        for t in ctx.reflections:
-            if s == t:
-                continue
+    for s in _lowering(ctx, c):
+        for t in _lowering(ctx, mul(s, c)):
             st = mul(s, t)
-            if _le(st, c):
-                tp = mul(mul(s, t), s)
-                if tp not in ctx.name_of:
-                    raise ArithmeticError("conjugate of a reflection must be a reflection")
-                if mul(tp, s) != st:
-                    raise ArithmeticError("dual braid relation failed to commute")
-                out.append((s, t, tp))
+            tp = mul(st, s)
+            if tp not in ctx.name_of:
+                raise ArithmeticError("conjugate of a reflection must be a reflection")
+            if mul(tp, s) != st:
+                raise ArithmeticError("dual braid relation failed to commute")
+            out.append((s, t, tp))
     return out
 
 

@@ -532,6 +532,34 @@ def nc_scan(ctx, c) -> list:
     return sorted(below, key=lambda u: (dist[u], u))
 
 
+def lowering_by_filter(ctx, u) -> list:
+    """The reflections t with l_T(t u) < l_T(u), by trying every t in T."""
+    k = _reflection_length(u)
+    return [t for t in ctx.reflections if _reflection_length(mul(t, u)) < k]
+
+
+def descent_by_filter(ctx, w):
+    """Reduced factorizations of w, depth-first in reflection order, each
+    step filtered over T."""
+    lowering = lowering_by_filter(ctx, w)
+    if not lowering:
+        yield ()
+    for t in lowering:
+        for rest in descent_by_filter(ctx, mul(t, w)):
+            yield (t, *rest)
+
+
+def dual_braid_relations_by_scan(ctx, c) -> list:
+    """(s, t, s t s) over every pair of distinct reflections with s t <= c."""
+    lc = _reflection_length(c)
+    return [
+        (s, t, mul(mul(s, t), s))
+        for s in ctx.reflections
+        for t in ctx.reflections
+        if s != t and 2 + _reflection_length(mul(inv(mul(s, t)), c)) == lc
+    ]
+
+
 def pairwise_lattice_check(elems: list) -> bool:
     """Whether the absolute order on elems is a lattice, by the definition:
     some element lies above all, and for every pair the common lower bounds

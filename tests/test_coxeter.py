@@ -4,10 +4,12 @@ Oracles: the reflection formula r(v) = v - 2 (v, a)/(a, a) a ties every
 window to the root read off its letters; absolute length is checked against
 the codimension of the fixed space and against breadth-first distances in the
 reflection Cayley graph; NC(W, c) against a scan of the whole group; the
-quasi-Coxeter and parabolic quasi-Coxeter tests against their definitions
-(the subgroup a reduced factorization generates); group orders, reflection
-counts and the non-crossing counts come from closed formulas; the type A face
-is compared element by element with the partition lattice."""
+lowering reflections, reduced factorizations and dual braid relations against
+trial products over every reflection; the quasi-Coxeter and parabolic
+quasi-Coxeter tests against their definitions (the subgroup a reduced
+factorization generates); group orders, reflection counts and the
+non-crossing counts come from closed formulas; the type A face is compared
+element by element with the partition lattice."""
 
 import random
 from fractions import Fraction
@@ -21,8 +23,11 @@ from helpers import (
     bfs_reflection_length,
     closure_is_generated,
     conjugacy_class,
+    descent_by_filter,
+    dual_braid_relations_by_scan,
     fixed_space,
     generates_the_group,
+    lowering_by_filter,
     nc_all,
     nc_scan,
     pairwise_lattice_check,
@@ -197,6 +202,37 @@ def test_nc_set_matches_the_whole_group_scan_at_every_coxeter_element(family, rk
         assert C.nc_set(context, c) == nc_scan(context, c), c
 
 
+@pytest.mark.parametrize(
+    "family,rk",
+    [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 6)] + [("D", r) for r in range(2, 6)],
+)
+def test_lowering_reflections_read_off_the_cycle_type_match_the_filter_over_t(family, rk):
+    context = ctx(family, rk)
+    for u in context.elements:
+        assert C._lowering(context, u) == lowering_by_filter(context, u)
+
+
+def test_walks_multiply_once_per_cover_step(monkeypatch):
+    # A scan over T would form one trial product per reflection and step.
+    # Each step of the descent is one edge of its tree: one nonempty prefix.
+    a6, b4 = ctx("A", 6), ctx("B", 4)
+    covers = sum(len(lowering_by_filter(a6, u)) for u in C.nc_set(a6))
+    steps = len({f[:k] for f in descent_by_filter(b4, b4.coxeter_element) for k in range(1, len(f) + 1)})
+    calls, mul = 0, C.mul
+
+    def counting_mul(u, v):
+        nonlocal calls
+        calls += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(C, "mul", counting_mul)
+    C.nc_set(a6)
+    assert calls == covers
+    calls = 0
+    C.red_t_factorizations(b4, b4.coxeter_element)
+    assert calls == steps
+
+
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 3), ("D", 4)])
 def test_absolute_length_is_subadditive_and_symmetric(family, rk):
     context = ctx(family, rk)
@@ -310,6 +346,14 @@ def test_reduced_factorization_counts_of_coxeter_elements(family, rk, count):
         for i, t in enumerate(reversed(f.factors), start=1):
             partial = C.mul(t, partial)
         assert partial == context.coxeter_element
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_reduced_factorizations_match_the_filtered_descent(family):
+    context = ctx(family, 4)
+    for w in random.Random(f"descent {family}").sample(context.elements, 50):
+        facts = C.red_t_factorizations(context, w)
+        assert [f.factors for f in facts] == list(descent_by_filter(context, w)), w
 
 
 def test_factorization_caps():
@@ -542,6 +586,15 @@ def test_dual_braid_relations_on_a2_are_the_three_rotations():
         "moves_covered": True,
     }
     assert len(report["relations"]) == 3
+
+
+@pytest.mark.parametrize(
+    "family,rk", [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4), ("D", 5)]
+)
+def test_dual_braid_relations_match_the_pairwise_scan(family, rk):
+    context = ctx(family, rk)
+    c = context.coxeter_element
+    assert C.dual_braid_relations(context, c) == dual_braid_relations_by_scan(context, c)
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3)])
