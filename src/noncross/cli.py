@@ -20,8 +20,6 @@ series transforms of the free group have a fixed order cap.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -53,7 +51,8 @@ def _window(text: str) -> tuple[int, ...]:
         if not isinstance(data, list) or not all(type(x) is int for x in data):
             raise ValueError
     except (json.JSONDecodeError, ValueError, RecursionError):  # deep nesting
-        raise FormatError(f"cannot parse group element {text!r}; expected e.g. [2,-1,3]") from None
+        cut = f"... ({len(text)} characters)" if len(text) > 40 else ""  # quote a prefix only
+        raise FormatError(f"cannot parse group element {text[:40]!r}{cut}; expected e.g. [2,-1,3]") from None
     return tuple(data)
 
 
@@ -409,7 +408,10 @@ def _rmt_verify(args) -> dict:
 # Parser assembly and rendering.
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Only the first group argv names gets its leaves: a top-level option
+    takes json, csv or an int, never a group name, so no other group's leaves
+    could take part in the parse.  Building them all costs ~5 ms a command."""
     parser = argparse.ArgumentParser(
         prog="noncross",
         description="Exact non-crossing partition, free cumulant and dual Coxeter calculators.",
@@ -430,10 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=argparse.SUPPRESS, help="worker threads"
     )
     groups = parser.add_subparsers(dest="group", required=True)
+    named = next((arg for arg in argv if arg in ("nc", "free", "cox", "topo", "rmt")), None)
 
     def group_of(name: str, help_text: str):
+        """The leaf subparsers of group name, or None unless argv names it."""
         sub = groups.add_parser(name, help=help_text)
-        return sub.add_subparsers(dest="command", required=True)
+        return sub.add_subparsers(dest="command", required=True) if name == named else None
 
     def leaf(group, name: str, handler, help_text: str) -> argparse.ArgumentParser:
         """A subcommand of group that runs handler and takes the shared options."""
@@ -441,96 +445,96 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
-    nc = group_of("nc", "non-crossing partition lattice")
-    sub = leaf(nc, "count", _nc_count, "|NC(m)| by enumeration, next to C_m")
-    sub.add_argument("--m", type=int, required=True)
-    sub = leaf(nc, "list", _nc_list, "all of NC(m) in lexicographic order")
-    sub.add_argument("--m", type=int, required=True)
-    sub = leaf(nc, "kreweras", _nc_op, "Kreweras complement")
-    sub.add_argument("--p", required=True)
-    sub = leaf(nc, "rotate", _nc_op, "cyclic relabeling i -> i+k")
-    sub.add_argument("--p", required=True)
-    sub.add_argument("--k", type=int, default=1)
-    sub = leaf(nc, "meet", _nc_op, "greatest lower bound")
-    sub.add_argument("--p", required=True)
-    sub.add_argument("--q", required=True)
-    sub = leaf(nc, "join", _nc_op, "least upper bound (crossing closure)")
-    sub.add_argument("--p", required=True)
-    sub.add_argument("--q", required=True)
-    sub = leaf(nc, "mobius", _nc_mobius, "Mobius value: recursion and closed form")
-    sub.add_argument("--p")
-    sub.add_argument("--q")
-    sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
+    if nc := group_of("nc", "non-crossing partition lattice"):
+        sub = leaf(nc, "count", _nc_count, "|NC(m)| by the enumeration's recursion, next to C_m")
+        sub.add_argument("--m", type=int, required=True)
+        sub = leaf(nc, "list", _nc_list, "all of NC(m) in lexicographic order")
+        sub.add_argument("--m", type=int, required=True)
+        sub = leaf(nc, "kreweras", _nc_op, "Kreweras complement")
+        sub.add_argument("--p", required=True)
+        sub = leaf(nc, "rotate", _nc_op, "cyclic relabeling i -> i+k")
+        sub.add_argument("--p", required=True)
+        sub.add_argument("--k", type=int, default=1)
+        sub = leaf(nc, "meet", _nc_op, "greatest lower bound")
+        sub.add_argument("--p", required=True)
+        sub.add_argument("--q", required=True)
+        sub = leaf(nc, "join", _nc_op, "least upper bound (crossing closure)")
+        sub.add_argument("--p", required=True)
+        sub.add_argument("--q", required=True)
+        sub = leaf(nc, "mobius", _nc_mobius, "Mobius value: recursion and closed form")
+        sub.add_argument("--p")
+        sub.add_argument("--q")
+        sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
 
-    free = group_of("free", "moment/cumulant calculus")
-    sub = leaf(free, "m2c", _free_m2c, "moments to free cumulants")
-    sub.add_argument("--moments", required=True, help='comma list, e.g. "1,2,5,14"')
-    sub = leaf(free, "c2m", _free_c2m, "free cumulants to moments")
-    sub.add_argument("--cumulants", required=True)
-    sub = leaf(free, "add", _free_add, "additive free convolution of moment lists")
-    sub.add_argument("--a", required=True)
-    sub.add_argument("--b", required=True)
-    sub = leaf(free, "mult", _free_mult, "multiplicative free convolution")
-    sub.add_argument("--a", required=True)
-    sub.add_argument("--b", required=True)
-    sub.add_argument("--route", choices=("kreweras", "stransform"), default="stransform")
-    sub = leaf(free, "law", _free_law, "moments of a named law")
-    sub.add_argument("--name", choices=_LAWS, required=True)
-    sub.add_argument("--order", type=int, required=True)
-    sub.add_argument("--ell", type=int)
-    sub = leaf(free, "clt", _free_clt, "exact moments of a rescaled free sum")
-    sub.add_argument("--base", required=True, help="base cumulants, comma list")
-    sub.add_argument("--n", type=int, required=True, help="number of summands")
-    sub.add_argument(
-        "--even", action="store_true", help="even moments only (rational for any n)"
-    )
-
-    cox = group_of("cox", "dual Coxeter systems")
-
-    def cox_common(sub: argparse.ArgumentParser, factorizations: bool = False) -> None:
-        sub.add_argument("--family", choices=("A", "B", "D"), required=True)
-        sub.add_argument("--rank", type=int, required=True)
-        sub.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
+    if free := group_of("free", "moment/cumulant calculus"):
+        sub = leaf(free, "m2c", _free_m2c, "moments to free cumulants")
+        sub.add_argument("--moments", required=True, help='comma list, e.g. "1,2,5,14"')
+        sub = leaf(free, "c2m", _free_c2m, "free cumulants to moments")
+        sub.add_argument("--cumulants", required=True)
+        sub = leaf(free, "add", _free_add, "additive free convolution of moment lists")
+        sub.add_argument("--a", required=True)
+        sub.add_argument("--b", required=True)
+        sub = leaf(free, "mult", _free_mult, "multiplicative free convolution")
+        sub.add_argument("--a", required=True)
+        sub.add_argument("--b", required=True)
+        sub.add_argument("--route", choices=("kreweras", "stransform"), default="stransform")
+        sub = leaf(free, "law", _free_law, "moments of a named law")
+        sub.add_argument("--name", choices=_LAWS, required=True)
+        sub.add_argument("--order", type=int, required=True)
+        sub.add_argument("--ell", type=int)
+        sub = leaf(free, "clt", _free_clt, "exact moments of a rescaled free sum")
+        sub.add_argument("--base", required=True, help="base cumulants, comma list")
+        sub.add_argument("--n", type=int, required=True, help="number of summands")
         sub.add_argument(
-            "--element", help="JSON window, e.g. [2,-1,3]; default Coxeter element"
+            "--even", action="store_true", help="even moments only (rational for any n)"
         )
-        if factorizations:
+
+    if cox := group_of("cox", "dual Coxeter systems"):
+
+        def cox_common(sub: argparse.ArgumentParser, factorizations: bool = False) -> None:
+            sub.add_argument("--family", choices=("A", "B", "D"), required=True)
+            sub.add_argument("--rank", type=int, required=True)
+            sub.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
             sub.add_argument(
-                "--length-cap", dest="length_cap", type=int,
-                default=caps.DEFAULT_FACTORIZATION_LENGTH_CAP,
+                "--element", help="JSON window, e.g. [2,-1,3]; default Coxeter element"
             )
-            sub.add_argument(
-                "--fact-rank-cap", dest="rank_cap_fact", type=int,
-                default=caps.DEFAULT_FACTORIZATION_RANK_CAP,
-            )
+            if factorizations:
+                sub.add_argument(
+                    "--length-cap", dest="length_cap", type=int,
+                    default=caps.DEFAULT_FACTORIZATION_LENGTH_CAP,
+                )
+                sub.add_argument(
+                    "--fact-rank-cap", dest="rank_cap_fact", type=int,
+                    default=caps.DEFAULT_FACTORIZATION_RANK_CAP,
+                )
 
-    cox_common(leaf(cox, "ncset", _cox_ncset, "the absolute-order ideal below c"))
-    sub = leaf(cox, "nccount", _cox_nccount, "|NC(W, c)| (optionally lattice-check)")
-    cox_common(sub)
-    sub.add_argument("--lattice", action="store_true")
-    sub = leaf(cox, "redt", _cox_redt, "reduced reflection factorizations")
-    cox_common(sub, factorizations=True)
-    sub = leaf(cox, "hurwitz", _cox_hurwitz, "braid-move orbits on factorizations")
-    cox_common(sub, factorizations=True)
-    cox_common(leaf(cox, "quasicox", _cox_quasicox, "quasi-Coxeter / parabolic tests"))
-    cox_common(leaf(cox, "dualrel", _cox_dualrel, "dual braid relations at c"))
+        cox_common(leaf(cox, "ncset", _cox_ncset, "the absolute-order ideal below c"))
+        sub = leaf(cox, "nccount", _cox_nccount, "|NC(W, c)| (optionally lattice-check)")
+        cox_common(sub)
+        sub.add_argument("--lattice", action="store_true")
+        sub = leaf(cox, "redt", _cox_redt, "reduced reflection factorizations")
+        cox_common(sub, factorizations=True)
+        sub = leaf(cox, "hurwitz", _cox_hurwitz, "braid-move orbits on factorizations")
+        cox_common(sub, factorizations=True)
+        cox_common(leaf(cox, "quasicox", _cox_quasicox, "quasi-Coxeter / parabolic tests"))
+        cox_common(leaf(cox, "dualrel", _cox_dualrel, "dual braid relations at c"))
 
-    topo = group_of("topo", "order complexes")
-    sub = leaf(topo, "euler", _topo_euler, "reduced Euler characteristic vs Mobius")
-    sub.add_argument("--p")
-    sub.add_argument("--q")
-    sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
-    sub = leaf(topo, "chains", _topo_chains, "maximal-chain census of NC(m)")
-    sub.add_argument("--m", type=int, required=True)
+    if topo := group_of("topo", "order complexes"):
+        sub = leaf(topo, "euler", _topo_euler, "reduced Euler characteristic vs Mobius")
+        sub.add_argument("--p")
+        sub.add_argument("--q")
+        sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
+        sub = leaf(topo, "chains", _topo_chains, "maximal-chain census of NC(m)")
+        sub.add_argument("--m", type=int, required=True)
 
-    rmt = group_of("rmt", "random-matrix cross-check")
-    sub = leaf(rmt, "verify", _rmt_verify, "Monte Carlo moments vs exact targets")
-    sub.add_argument("--kind", choices=caps.KINDS, default="product")
-    sub.add_argument("--ell", type=int, default=1)
-    sub.add_argument("--k", type=int, default=4, help="largest moment order")
-    sub.add_argument("--n", type=int, default=256, help="matrix size")
-    sub.add_argument("--trials", type=int, default=50)
-    sub.add_argument("--seed", type=int, default=0)
+    if rmt := group_of("rmt", "random-matrix cross-check"):
+        sub = leaf(rmt, "verify", _rmt_verify, "Monte Carlo moments vs exact targets")
+        sub.add_argument("--kind", choices=caps.KINDS, default="product")
+        sub.add_argument("--ell", type=int, default=1)
+        sub.add_argument("--k", type=int, default=4, help="largest moment order")
+        sub.add_argument("--n", type=int, default=256, help="matrix size")
+        sub.add_argument("--trials", type=int, default=50)
+        sub.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -569,6 +573,9 @@ def _csv_rows(payload: dict) -> list[list]:
 
 def render(payload: dict, fmt: str) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerows(_csv_rows(payload))
@@ -578,7 +585,9 @@ def render(payload: dict, fmt: str) -> str:
 
 def run(argv: list[str] | None = None) -> CommandResult:
     """Parse and execute; never raises for user errors (see exit codes)."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

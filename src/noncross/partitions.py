@@ -128,7 +128,13 @@ class SetPartition(Frozen):
         return ix
 
     def __str__(self) -> str:
-        return "|".join(" ".join(map(str, b)) for b in self.blocks)
+        return "|".join(map(_block_text, self.blocks))
+
+
+@cache
+def _block_text(block: tuple[int, ...]) -> str:
+    """One block in the pipe format; a listing prints each block many times."""
+    return " ".join(map(str, block))
 
 
 def is_noncrossing(p: SetPartition) -> bool:
@@ -406,10 +412,14 @@ def _generate(elems: tuple[int, ...]) -> Iterator[Blocks]:
             yield from map((b1, *bl).__add__, tails)
 
 
-def _nc_blocklists(m: int) -> Iterable[Blocks]:
+def _check_m(m: int) -> None:
     if m < 0:
         raise FormatError("m must be non-negative")
     _check_cap(m)
+
+
+def _nc_blocklists(m: int) -> Iterable[Blocks]:
+    _check_m(m)
     return _blocklists(tuple(range(1, m + 1)))
 
 
@@ -425,5 +435,16 @@ def enumerate_nc(m: int) -> list[NCPartition]:
 
 
 def count_nc(m: int) -> int:
-    """|NC(m)|, counted over the enumeration without building partitions."""
-    return sum(1 for _ in _nc_blocklists(m))
+    """|NC(m)| from the decomposition :func:`_generate` walks, generating no
+    list, so independent of :func:`catalan`.  The first block's members split
+    the other labels into gaps, each filled by a smaller NC.  With N(n) lists
+    over n labels and G(r) the fillings of the r labels after a first-block
+    member (one gap, or a gap of j labels then the next member): N(0) = 1,
+    N(n) = G(n - 1) and G(r) = N(r) + sum of N(j) * G(r - 1 - j) over j < r.
+    The enumeration cap bounds m, as for :func:`iter_nc`."""
+    _check_m(m)
+    lists, fills = [1], []
+    for r in range(m):
+        fills.append(lists[r] + sum(lists[j] * fills[r - 1 - j] for j in range(r)))
+        lists.append(fills[r])
+    return lists[m]

@@ -140,6 +140,17 @@ def test_edge_input_exits_2_with_a_message(argv, capsys):
     assert out == "" and err.strip() and "Traceback" not in err
 
 
+def test_a_long_element_is_quoted_by_a_prefix(capsys):
+    argv = ["cox", "quasicox", "--family", "B", "--rank", "3", "--element"]
+    assert cli.main([*argv, "[" * 100_000]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and "(100000 characters)" in err
+    assert cli.main([*argv, "[" * 40]) == 2  # up to the cut, the whole text
+    assert capsys.readouterr().err == (
+        f"cannot parse group element {'[' * 40!r}; expected e.g. [2,-1,3]\n"
+    )
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.run(["nc", "bogus"]).exit_code == 2
     assert cli.run([]).exit_code == 2

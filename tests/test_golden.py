@@ -3,7 +3,9 @@
 Every ``noncross ...`` example in the README (the quick-start block and the
 "Run it" column of the guarantee table) runs through ``cli.run`` and
 ``cli.render``; its output must equal the golden file recorded for it under
-``tests/golden/``.  A refactor that changes any printed byte fails here.
+``tests/golden/``.  The ``--help`` text of the top level, of every group and
+of every leaf, at 80 columns, must equal ``tests/golden/help.txt``.  A
+refactor that changes any printed byte fails here.
 
 Regenerate the golden files only for an intended output change::
 
@@ -12,10 +14,14 @@ Regenerate the golden files only for an intended output change::
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import re
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -51,6 +57,28 @@ def rendered(argv: tuple[str, ...]) -> str:
 
 EXAMPLES = readme_examples()
 
+LEAVES = {
+    "nc": ("count", "list", "kreweras", "rotate", "meet", "join", "mobius"),
+    "free": ("m2c", "c2m", "add", "mult", "law", "clt"),
+    "cox": ("ncset", "nccount", "redt", "hurwitz", "quasicox", "dualrel"),
+    "topo": ("euler", "chains"),
+    "rmt": ("verify",),
+}
+HELP_ARGVS = [(), *((g,) for g in LEAVES), *((g, leaf) for g in LEAVES for leaf in LEAVES[g])]
+HELP_GOLDEN = GOLDEN / "help.txt"
+
+
+def rendered_help() -> str:
+    """The --help output of every level, each headed by its command line."""
+    sections = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in HELP_ARGVS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run([*argv, "--help"]).exit_code == 0
+            sections.append(f"$ noncross {' '.join((*argv, '--help'))}\n{out.getvalue()}")
+    return "\n".join(sections)
+
 
 def test_readme_has_examples():
     assert len(EXAMPLES) >= 12
@@ -61,8 +89,14 @@ def test_readme_example_matches_golden(argv):
     assert rendered(argv) == golden_path(argv).read_text()
 
 
+def test_help_of_every_level_matches_golden():
+    assert rendered_help() == HELP_GOLDEN.read_text()
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     GOLDEN.mkdir(exist_ok=True)
     for argv in EXAMPLES:
         golden_path(argv).write_text(rendered(argv))
         print(golden_path(argv).name)
+    HELP_GOLDEN.write_text(rendered_help())
+    print(HELP_GOLDEN.name)

@@ -129,6 +129,36 @@ def test_enumeration_count_is_catalan(m):
     assert P.count_nc(m) == CATALAN[m]
 
 
+@pytest.mark.parametrize("m", range(0, 11))
+def test_count_matches_the_streamed_enumeration(m):
+    assert P.count_nc(m) == sum(1 for _ in P.iter_nc(m))
+
+
+def test_count_generates_no_block_list(monkeypatch):
+    def refuse(elems):
+        raise AssertionError(f"count_nc generated the block lists over {elems}")
+
+    P._short_blocklists.cache_clear()
+    monkeypatch.setattr(P, "_generate", refuse)
+    assert [P.count_nc(m) for m in range(13)] == [P.catalan(m) for m in range(13)]
+
+
+def test_count_checks_m_then_the_cap(monkeypatch):
+    for cap in ("-5", "not-a-number"):  # m < 0 is reported before any cap
+        monkeypatch.setenv(P.ENUM_CAP_ENV, cap)
+        with pytest.raises(FormatError, match="m must be non-negative"):
+            P.count_nc(-1)
+    with pytest.raises(FormatError, match=P.ENUM_CAP_ENV):
+        P.count_nc(3)
+    monkeypatch.setenv(P.ENUM_CAP_ENV, "5")
+    assert P.count_nc(5) == 42
+    with pytest.raises(ResourceCapExceeded, match=r"NC\(6\) exceeds the cap 5"):
+        P.count_nc(6)
+    monkeypatch.delenv(P.ENUM_CAP_ENV)
+    with pytest.raises(ResourceCapExceeded, match=r"NC\(13\) exceeds the cap 12"):
+        P.count_nc(13)
+
+
 @pytest.mark.parametrize("m", range(0, 12))
 def test_enumeration_order_matches_the_relabeling_oracle(m):
     assert tuple(p.blocks for p in P.iter_nc(m)) == relabeled_nc_blocklists(m)
