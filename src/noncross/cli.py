@@ -598,6 +598,10 @@ def run(argv: list[str] | None = None) -> CommandResult:
         return CommandResult(0, payload, args.format)
     except ResourceCapExceeded as exc:
         return CommandResult(3, {"error": str(exc)}, args.format)
+    except RecursionError:  # e.g. NC(m) generated m frames deep under a raised cap
+        limit = sys.getrecursionlimit()
+        error = f"the computation nests deeper than Python's recursion limit of {limit}"
+        return CommandResult(3, {"error": error}, args.format)
     except NoncrossError as exc:
         return CommandResult(2, {"error": str(exc)}, args.format)
 
@@ -607,7 +611,12 @@ def main(argv: list[str] | None = None) -> int:
     if result.payload is not None and result.exit_code != 0:
         print(result.payload.get("error", "error"), file=sys.stderr)
     elif result.payload is not None:
-        text = render(result.payload, result.fmt)
+        try:
+            text = render(result.payload, result.fmt)
+        except ValueError:  # an integer past Python's int-to-string limit, like _seq_payload's
+            limit = sys.get_int_max_str_digits()
+            print(f"the result has an integer of over {limit} digits", file=sys.stderr)
+            return 3
         try:
             print(text, flush=True)
         except BrokenPipeError:

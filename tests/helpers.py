@@ -365,8 +365,9 @@ def relabeled_nc_blocklists(m: int) -> tuple[Blocks, ...]:
 
 # ---------------------------------------------------------------------------
 # Oracles for the order structure of NC(m): every comparable pair by
-# refinement, covers by ruling out intermediate elements, and Mobius values
-# by the defining recursion over that matrix.
+# refinement, covers by ruling out intermediate elements or by merging two
+# blocks, the maximal-chain census by a path count over the covers, and
+# Mobius values by the defining recursion over the order matrix.
 
 
 def le_matrix(elems) -> list[list[bool]]:
@@ -384,6 +385,59 @@ def scanned_covers(elems) -> list[list[int]]:
     above = [{j for j in range(n) if le[i][j] and j != i} for i in range(n)]
     below = [{i for i in range(n) if le[i][j] and i != j} for j in range(n)]
     return [sorted(j for j in above[i] if not above[i] & below[j]) for i in range(n)]
+
+
+def merge_covers(elems) -> list[list[int]]:
+    """covers[i] = indices j with elems[j] covering elems[i]: every merge of
+    two blocks of elems[i] that is non-crossing, looked up by its blocks."""
+    index = {p.blocks: i for i, p in enumerate(elems)}
+    covers: list[list[int]] = []
+    for p in elems:
+        b = p.blocks
+        up = []
+        for i, j in combinations(range(len(b)), 2):
+            merged = b[:i] + b[i + 1 : j] + b[j + 1 :] + (tuple(sorted(b[i] + b[j])),)
+            k = index.get(tuple(sorted(merged)))
+            if k is not None:
+                up.append(k)
+        covers.append(up)
+    return covers
+
+
+def walked_chain_census(m: int) -> dict:
+    """The fields of ``complexes.chain_census(m)`` read off the covers of the
+    listed NC(m): paths from bottom to top tallied by edge count, the rank
+    step of every cover, and whether every element lies on a maximal chain."""
+    elems = nc_all(m)
+    n = len(elems)
+    covers = merge_covers(elems)
+    bottom = next(i for i in range(n) if elems[i].n_blocks == m)
+    top = next(i for i in range(n) if elems[i].n_blocks == 1)
+
+    rank_steps_ok = all(rank(elems[j]) == rank(elems[i]) + 1 for i in range(n) for j in covers[i])
+
+    counts: list[dict[int, int]] = [dict() for _ in range(n)]
+    counts[bottom] = {0: 1}
+    for i in sorted(range(n), key=lambda i: rank(elems[i])):
+        for length, num in counts[i].items():
+            for j in covers[i]:
+                counts[j][length + 1] = counts[j].get(length + 1, 0) + num
+    lengths = dict(sorted(counts[top].items()))
+
+    # A walk down covers ends at an element covering nothing and a walk up at
+    # one covered by nothing: every element lies on a maximal chain iff only
+    # the bottom covers nothing and only the top is covered by nothing.
+    covered = {j for up in covers for j in up}
+    all_on_chains = len(covered | {bottom}) == n and all(up or i == top for i, up in enumerate(covers))
+
+    return {
+        "m": m,
+        "maximal_chains": sum(lengths.values()),
+        "lengths": lengths,
+        "graded": rank_steps_ok and all_on_chains and set(lengths) == {m - 1},
+        "rank_steps_ok": rank_steps_ok,
+        "all_elements_on_maximal_chains": all_on_chains,
+    }
 
 
 def mobius_table(le: list[list[bool]]) -> dict[tuple[int, int], int]:

@@ -185,6 +185,35 @@ def test_resource_caps_exit_3(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "cap, argv, message",
+    [
+        ("2000", ["topo", "chains", "--m", "2000"], "integer of over"),  # 2000^1998
+        ("2000", ["--format", "csv", "topo", "chains", "--m", "2000"], "integer of over"),
+        ("5000", ["topo", "chains", "--m", "3000"], "integer of over"),
+        ("5000", ["nc", "list", "--m", "1200"], "recursion limit"),  # NC(m) nests m frames
+        ("5000", ["nc", "mobius", "--m", "3000"], "recursion limit"),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, list) else a,
+)
+def test_raised_cap_past_what_python_can_hold_exits_3(monkeypatch, capsys, cap, argv, message):
+    monkeypatch.setenv("NONCROSS_CAP", cap)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and message in err
+
+
+def test_raised_cap_results_within_python_limits_exit_0(monkeypatch, capsys):
+    monkeypatch.setenv("NONCROSS_CAP", "1000")
+    assert cli.main(["topo", "chains", "--m", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["maximal_chains"] == 1000**998
+    monkeypatch.setenv("NONCROSS_CAP", "5000")
+    assert cli.main(["nc", "count", "--m", "1500"]) == 0
+    count = noncross.catalan(1500)
+    expected = {"kind": "nc_count", "m": 1500, "count": count, "catalan": count}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_kreweras_route_ignores_the_enumeration_cap(monkeypatch):
     rng = random.Random(13)
 

@@ -1,26 +1,32 @@
-"""Order complexes of open intervals in NC(m).
+"""Order complexes of open intervals in NC(m), and the maximal-chain census.
 
 Oracles: chains counted by brute force over vertex subsets and by a walk
-over the listed interval, and the reduced Euler characteristic compared with
-the Mobius function on every interval."""
+over the listed interval, the reduced Euler characteristic compared with
+the Mobius function on every interval, and the census compared with a path
+count over the covers of the listed lattice, with the atom recursion and
+with the minimal factorizations of the long cycle."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from helpers import (
     interval,
     le_matrix,
+    merge_covers,
     mobius_table,
     mobius_walk,
     nc_all,
     scanned_covers,
+    walked_chain_census,
     walked_f_vector,
 )
 from noncross import complexes as X
+from noncross import coxeter as C
 from noncross import partitions as P
-from noncross.errors import NotComparable
+from noncross.errors import FormatError, NotComparable, ResourceCapExceeded
 from noncross.partitions import NCPartition
 
 
@@ -113,10 +119,57 @@ def test_maximal_chain_census(m, count):
     assert census["lengths"] == {m - 1: count}
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_chain_census_matches_the_cover_walk(m):
+    census = X.chain_census(m)
+    assert census == walked_chain_census(m)
+    assert type(census["maximal_chains"]) is int  # 1 ** -1 would be a float
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_merge_covers_match_the_scanned_covers(m):
     elems = nc_all(m)
-    assert [sorted(c) for c in X._merge_covers(elems)] == scanned_covers(elems)
+    assert [sorted(c) for c in merge_covers(elems)] == scanned_covers(elems)
+
+
+def test_atom_recursion_counts_kreweras_number():
+    # An atom of NC(s) joins two points k apart; its upper interval is
+    # NC(k) x NC(s - k), whose maximal chains interleave the factors' chains
+    # of lengths k - 1 and s - k - 1 in C(s - 2, k - 1) ways, and s - k atoms
+    # join points k apart.
+    chains = {1: 1}
+    for s in range(2, 31):
+        chains[s] = sum(
+            (s - k) * comb(s - 2, k - 1) * chains[k] * chains[s - k] for k in range(1, s)
+        )
+        assert chains[s] == s ** (s - 2)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_maximal_chains_count_the_minimal_factorizations_of_the_long_cycle(m):
+    ctx = C.CoxeterContext("A", m - 1)
+    factorizations = C.red_t_factorizations(ctx, ctx.coxeter_element)
+    assert X.chain_census(m)["maximal_chains"] == len(factorizations)
+
+
+def test_chain_census_generates_no_block_list(monkeypatch):
+    def refuse(elems):
+        raise AssertionError(f"chain_census generated the block lists over {elems}")
+
+    P._short_blocklists.cache_clear()
+    monkeypatch.setattr(P, "_generate", refuse)
+    assert X.chain_census(12)["maximal_chains"] == 12**10
+
+
+def test_chain_census_checks_m_then_the_cap(monkeypatch):
+    monkeypatch.setenv(P.ENUM_CAP_ENV, "not-a-number")
+    with pytest.raises(FormatError, match="m must be >= 1"):
+        X.chain_census(0)
+    with pytest.raises(FormatError, match=P.ENUM_CAP_ENV):
+        X.chain_census(3)
+    monkeypatch.setenv(P.ENUM_CAP_ENV, "5")
+    with pytest.raises(ResourceCapExceeded, match=r"NC\(6\) exceeds the cap 5"):
+        X.chain_census(6)
 
 
 @pytest.mark.parametrize("m", range(2, 6))
