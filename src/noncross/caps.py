@@ -6,11 +6,10 @@ DEFAULT_ENUM_CAP = 12
 ENUM_CAP_ENV = "NONCROSS_CAP"
 # freeprob: largest truncation order of the exact series transforms.
 SERIES_ORDER_CAP = 60
-# coxeter: largest context rank per family, and the largest rank and
-# reflection length of a factorization enumeration.
+# coxeter: largest context rank per family, and the most reduced
+# factorizations one enumeration may list.
 DEFAULT_RANK_CAP = {"A": 7, "B": 5, "D": 5}
-DEFAULT_FACTORIZATION_LENGTH_CAP = 5
-DEFAULT_FACTORIZATION_RANK_CAP = 4
+FACTORIZATION_COUNT_CAP = 20_000
 # randmat: the Monte Carlo variants and the bounds on one run.
 KINDS = ("product", "power")
 N_CAP = 1024

@@ -57,14 +57,8 @@ def _window(text: str) -> tuple[int, ...]:
 
 
 def _context(args: argparse.Namespace) -> coxeter.CoxeterContext:
-    for flag, dest in (
-        ("--rank-cap", "rank_cap"),
-        ("--length-cap", "length_cap"),
-        ("--fact-rank-cap", "rank_cap_fact"),
-    ):
-        value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            raise FormatError(f"{flag} must be >= 0, got {value}")
+    if args.rank_cap is not None and args.rank_cap < 0:
+        raise FormatError(f"--rank-cap must be >= 0, got {args.rank_cap}")
     return coxeter.CoxeterContext(args.family, args.rank, rank_cap=args.rank_cap)
 
 
@@ -270,9 +264,7 @@ def _cox_nccount(args) -> dict:
 def _cox_redt(args) -> dict:
     ctx = _context(args)
     w = _element(ctx, args)
-    facts = coxeter.red_t_factorizations(
-        ctx, w, length_cap=args.length_cap, rank_cap=args.rank_cap_fact
-    )
+    facts = coxeter.red_t_factorizations(ctx, w)
     return {
         "kind": "cox_redt",
         "family": ctx.family,
@@ -287,9 +279,7 @@ def _cox_redt(args) -> dict:
 def _cox_hurwitz(args) -> dict:
     ctx = _context(args)
     w = _element(ctx, args)
-    orbits = coxeter.hurwitz_orbits(
-        ctx, w, length_cap=args.length_cap, rank_cap=args.rank_cap_fact
-    )
+    orbits = coxeter.hurwitz_orbits(ctx, w)
     return {
         "kind": "cox_hurwitz",
         "family": ctx.family,
@@ -491,31 +481,20 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     if cox := group_of("cox", "dual Coxeter systems"):
 
-        def cox_common(sub: argparse.ArgumentParser, factorizations: bool = False) -> None:
+        def cox_common(sub: argparse.ArgumentParser) -> None:
             sub.add_argument("--family", choices=("A", "B", "D"), required=True)
             sub.add_argument("--rank", type=int, required=True)
             sub.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
             sub.add_argument(
                 "--element", help="JSON window, e.g. [2,-1,3]; default Coxeter element"
             )
-            if factorizations:
-                sub.add_argument(
-                    "--length-cap", dest="length_cap", type=int,
-                    default=caps.DEFAULT_FACTORIZATION_LENGTH_CAP,
-                )
-                sub.add_argument(
-                    "--fact-rank-cap", dest="rank_cap_fact", type=int,
-                    default=caps.DEFAULT_FACTORIZATION_RANK_CAP,
-                )
 
         cox_common(leaf(cox, "ncset", _cox_ncset, "the absolute-order ideal below c"))
         sub = leaf(cox, "nccount", _cox_nccount, "|NC(W, c)| (optionally lattice-check)")
         cox_common(sub)
         sub.add_argument("--lattice", action="store_true")
-        sub = leaf(cox, "redt", _cox_redt, "reduced reflection factorizations")
-        cox_common(sub, factorizations=True)
-        sub = leaf(cox, "hurwitz", _cox_hurwitz, "braid-move orbits on factorizations")
-        cox_common(sub, factorizations=True)
+        cox_common(leaf(cox, "redt", _cox_redt, "reduced reflection factorizations"))
+        cox_common(leaf(cox, "hurwitz", _cox_hurwitz, "braid-move orbits on factorizations"))
         cox_common(leaf(cox, "quasicox", _cox_quasicox, "quasi-Coxeter / parabolic tests"))
         cox_common(leaf(cox, "dualrel", _cox_dualrel, "dual braid relations at c"))
 

@@ -13,6 +13,9 @@ minus the cycles of |w| with an even number of sign changes.  NC(W, c) and the
 reduced factorizations are walked down from c one reflection at a time, and
 each step reads its lowering reflections off the signed cycle type (see
 `_lowering`) instead of trying every t in T, so no query builds W itself.
+One walk over the length levels of [1, w] (`_levels`) gives both NC(W, c) and
+the number of reduced factorizations of w, which bounds their enumeration
+before it starts.
 
 The signed cycle type also decides the remaining classes: Coxeter elements
 (Carter 1972), quasi-Coxeter and parabolic quasi-Coxeter elements
@@ -28,11 +31,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import partitions  # a lazy module: only the type A bridge runs it
-from .caps import (
-    DEFAULT_FACTORIZATION_LENGTH_CAP,
-    DEFAULT_FACTORIZATION_RANK_CAP,
-    DEFAULT_RANK_CAP,
-)
+from .caps import DEFAULT_RANK_CAP, FACTORIZATION_COUNT_CAP
 from .errors import FormatError, NotBelowCoxeterElement, ResourceCapExceeded
 
 Window = tuple[int, ...]
@@ -244,19 +243,42 @@ def abs_le(ctx: CoxeterContext, u: Window, v: Window) -> bool:
     return _reflection_length(u) + _reflection_length(mul(inv(u), v)) == _reflection_length(v)
 
 
-def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
-    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window).
+def _levels(
+    ctx: CoxeterContext, w: Window, cap: int | None = None
+) -> Iterator[dict[Window, int]]:
+    """The length levels of [1, w] from w down, each as {u: number of
+    maximal chains from w down to u}.
 
-    The interval [1, c] is graded by l_T and the elements covered by u are
-    the t u for t in `_lowering(u)`, so walking those steps down from c
-    reaches all of it, one length at a time.
+    The interval is graded by l_T and the elements covered by u are the t u
+    for t in `_lowering(u)`, so walking those steps down from w reaches all
+    of it, one length at a time; the last level is {identity: |Red_T(w)|}.
+    Every element of [1, w] has a reduced factorization, so the chains
+    counted into a level so far bound |Red_T(w)| from below, and the walk
+    stops as soon as they pass cap, before the level is complete.
     """
-    c = ctx.coxeter_element if c is None else ctx.check_element(c)
-    levels = []
-    level = {c}
+    level = {w: 1}
     while level:
-        levels.append(sorted(level))
-        level = {mul(t, u) for u in level for t in _lowering(ctx, u)}
+        yield level
+        below: dict[Window, int] = {}
+        total = 0
+        for u, chains in level.items():
+            lowering = _lowering(ctx, u)
+            total += chains * len(lowering)
+            if cap is not None and total > cap:
+                raise ResourceCapExceeded(
+                    f"factorization enumeration capped at {cap} factorizations, "
+                    f"element has at least {total}"
+                )
+            for t in lowering:
+                v = mul(t, u)
+                below[v] = below.get(v, 0) + chains
+        level = below
+
+
+def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
+    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window)."""
+    c = ctx.coxeter_element if c is None else ctx.check_element(c)
+    levels = [sorted(level) for level in _levels(ctx, c)]
     return [u for lv in reversed(levels) for u in lv]
 
 
@@ -267,25 +289,15 @@ def duality(ctx: CoxeterContext, x: Window, c: Window | None = None) -> Window:
     return mul(inv(ctx.check_element(x)), c)
 
 
-def red_t_factorizations(
-    ctx: CoxeterContext,
-    w: Window,
-    *,
-    length_cap: int = DEFAULT_FACTORIZATION_LENGTH_CAP,
-    rank_cap: int = DEFAULT_FACTORIZATION_RANK_CAP,
-) -> list[ReflectionFactorization]:
-    """All reduced reflection factorizations of w, depth-first in reflection order."""
+def red_t_factorizations(ctx: CoxeterContext, w: Window) -> list[ReflectionFactorization]:
+    """All reduced reflection factorizations of w, depth-first in reflection order.
+
+    The count walk over [1, w] refuses more than FACTORIZATION_COUNT_CAP of
+    them before anything is enumerated.
+    """
     w = ctx.check_element(w)
-    if ctx.rank > rank_cap:
-        raise ResourceCapExceeded(
-            f"factorization enumeration capped at rank {rank_cap}, context has {ctx.rank}"
-        )
-    length = _reflection_length(w)
-    if length > length_cap:
-        raise ResourceCapExceeded(
-            f"factorization enumeration capped at length {length_cap}, "
-            f"element has {length}"
-        )
+    for _ in _levels(ctx, w, FACTORIZATION_COUNT_CAP):
+        pass
     return [ReflectionFactorization(ctx, f) for f in _reduced_descent(ctx, w)]
 
 
@@ -324,19 +336,13 @@ def hurwitz_act(
     return f[:i] + pair + f[i + 2 :]
 
 
-def hurwitz_orbits(
-    ctx: CoxeterContext,
-    w: Window,
-    *,
-    length_cap: int = DEFAULT_FACTORIZATION_LENGTH_CAP,
-    rank_cap: int = DEFAULT_FACTORIZATION_RANK_CAP,
-) -> list[list[ReflectionFactorization]]:
+def hurwitz_orbits(ctx: CoxeterContext, w: Window) -> list[list[ReflectionFactorization]]:
     """Orbits of the braid moves on the reduced factorizations of w.
 
     Returns the orbits sorted by size (largest first), each orbit sorted;
     the union is exactly red_t_factorizations(w).
     """
-    all_facts = red_t_factorizations(ctx, w, length_cap=length_cap, rank_cap=rank_cap)
+    all_facts = red_t_factorizations(ctx, w)
     pending = {f.factors for f in all_facts}
     orbits: list[list[ReflectionFactorization]] = []
 
@@ -501,9 +507,9 @@ def dual_braid_relation_check(ctx: CoxeterContext, c: Window | None = None) -> d
     all moves stayed within the relation set.
     """
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
+    orbits = hurwitz_orbits(ctx, c)  # first: it holds the count cap
     relations = dual_braid_relations(ctx, c)
     rel_pairs = {(s, t) for s, t, _ in relations}
-    orbits = hurwitz_orbits(ctx, c)
     moves_covered = True
     for orbit in orbits:
         for f in orbit:

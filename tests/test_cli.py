@@ -172,17 +172,50 @@ def test_nc_count_edges(monkeypatch, capsys, cap, m, code, count):
         assert json.loads(out)["count"] == count and err == ""
 
 
-def test_resource_caps_exit_3(monkeypatch):
+def test_resource_caps_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("NONCROSS_CAP", "4")
     assert cli.run(["nc", "count", "--m", "6"]).exit_code == 3
     monkeypatch.delenv("NONCROSS_CAP")
     assert cli.run(["cox", "ncset", "--family", "A", "--rank", "8"]).exit_code == 3
-    assert (
-        cli.run(
-            ["cox", "redt", "--family", "B", "--rank", "3", "--length-cap", "2"]
-        ).exit_code
-        == 3
-    )
+    capsys.readouterr()
+    # A7's c has 262,144 reduced factorizations.  Under a raised rank cap the
+    # count walk stops inside a level: A60's second level counts 2.2 million
+    # chains, and the walk stops after about a dozen of its parents.
+    for argv in (
+        ["cox", "redt", "--family", "A", "--rank", "7"],
+        ["cox", "hurwitz", "--family", "A", "--rank", "7"],
+        ["cox", "dualrel", "--family", "A", "--rank", "7"],
+        ["cox", "redt", "--family", "A", "--rank", "12", "--rank-cap", "12"],
+        ["cox", "dualrel", "--family", "A", "--rank", "60", "--rank-cap", "60"],
+    ):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3, argv
+        assert time.perf_counter() - start < 1.0, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and f"capped at {caps.FACTORIZATION_COUNT_CAP} " in err
+
+
+@pytest.mark.parametrize(
+    "argv, factorizations, seconds",
+    [
+        (["cox", "dualrel", "--family", "A", "--rank", "5"], 6**4, 2),
+        (["cox", "dualrel", "--family", "B", "--rank", "5"], 5**5, 2),
+        (["cox", "dualrel", "--family", "D", "--rank", "5"], 2048, 2),
+        (["cox", "hurwitz", "--family", "A", "--rank", "6"], 7**5, 5),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, list) else None,
+)
+def test_braid_moves_are_transitive_on_the_factorizations_of_c(argv, factorizations, seconds, capsys):
+    # Bessis: the Hurwitz action on Red_T(c) is transitive.
+    with budget(" ".join(argv), seconds):
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+    assert out["factorizations"] == factorizations
+    if out["kind"] == "cox_dualrel":
+        assert out["orbits"] == 1 and out["moves_covered"] is True
+    else:
+        assert out["orbit_sizes"] == [factorizations] and out["transitive"] is True
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ window to the root read off its letters; absolute length is checked against
 the codimension of the fixed space and against breadth-first distances in the
 reflection Cayley graph; NC(W, c) against a scan of the whole group; the
 lowering reflections, reduced factorizations and dual braid relations against
-trial products over every reflection; the quasi-Coxeter and parabolic
-quasi-Coxeter tests against their definitions (the subgroup a reduced
-factorization generates); group orders, reflection counts and the
+trial products over every reflection, and the factorization count of a
+Coxeter element against n! h^n / |W| (Bessis 2003); the quasi-Coxeter and
+parabolic quasi-Coxeter tests against their definitions (the subgroup a
+reduced factorization generates); group orders, reflection counts and the
 non-crossing counts come from closed formulas; the type A face is compared
 element by element with the partition lattice."""
 
@@ -36,6 +37,7 @@ from helpers import (
     root_of,
 )
 from noncross import coxeter as C
+from noncross.caps import FACTORIZATION_COUNT_CAP
 from noncross.errors import (
     FormatError,
     NotBelowCoxeterElement,
@@ -214,9 +216,10 @@ def test_lowering_reflections_read_off_the_cycle_type_match_the_filter_over_t(fa
 
 def test_walks_multiply_once_per_cover_step(monkeypatch):
     # A scan over T would form one trial product per reflection and step.
-    # Each step of the descent is one edge of its tree: one nonempty prefix.
+    # Each step of the descent is one edge of its tree: one nonempty prefix;
+    # the count walk before it multiplies once per cover of [1, c].
     a6, b4 = ctx("A", 6), ctx("B", 4)
-    covers = sum(len(lowering_by_filter(a6, u)) for u in C.nc_set(a6))
+    covers = {cx: sum(len(lowering_by_filter(cx, u)) for u in C.nc_set(cx)) for cx in (a6, b4)}
     steps = len({f[:k] for f in descent_by_filter(b4, b4.coxeter_element) for k in range(1, len(f) + 1)})
     calls, mul = 0, C.mul
 
@@ -227,10 +230,10 @@ def test_walks_multiply_once_per_cover_step(monkeypatch):
 
     monkeypatch.setattr(C, "mul", counting_mul)
     C.nc_set(a6)
-    assert calls == covers
+    assert calls == covers[a6]
     calls = 0
     C.red_t_factorizations(b4, b4.coxeter_element)
-    assert calls == steps
+    assert calls == covers[b4] + steps
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 3), ("D", 4)])
@@ -348,21 +351,45 @@ def test_reduced_factorization_counts_of_coxeter_elements(family, rk, count):
         assert partial == context.coxeter_element
 
 
+def chain_count(context: C.CoxeterContext, w) -> int:
+    """|Red_T(w)|: the chain total of the last level of [1, w]."""
+    *_, last = C._levels(context, w)
+    return sum(last.values())
+
+
+@pytest.mark.parametrize(
+    "family,rk",
+    [*(("A", rk) for rk in range(1, 8)), *(("B", rk) for rk in range(2, 7)), *(("D", rk) for rk in range(4, 7))],
+)
+def test_factorization_count_is_bessis_closed_form(family, rk):
+    # |Red_T(c)| = n! h^n / |W| (Bessis 2003).
+    context = C.CoxeterContext(family, rk, rank_cap=rk)
+    letters = context.n
+    h, order = {
+        "A": (letters, factorial(letters)),
+        "B": (2 * letters, 2**letters * factorial(letters)),
+        "D": (2 * letters - 2, 2 ** (letters - 1) * factorial(letters)),
+    }[family]
+    expected = Fraction(factorial(rk) * h**rk, order)
+    assert chain_count(context, context.coxeter_element) == expected
+
+
 @pytest.mark.parametrize("family", ["B", "D"])
 def test_reduced_factorizations_match_the_filtered_descent(family):
     context = ctx(family, 4)
     for w in random.Random(f"descent {family}").sample(context.elements, 50):
         facts = C.red_t_factorizations(context, w)
         assert [f.factors for f in facts] == list(descent_by_filter(context, w)), w
+        assert chain_count(context, w) == len(facts), w
 
 
 def test_factorization_caps():
-    context = ctx("B", 3)
+    # A7's c has 8^6 = 262,144 reduced factorizations, past the count cap.
+    context = ctx("A", 7)
+    with pytest.raises(ResourceCapExceeded, match=f"capped at {FACTORIZATION_COUNT_CAP} "):
+        C.red_t_factorizations(context, context.coxeter_element)
     with pytest.raises(ResourceCapExceeded):
-        C.red_t_factorizations(context, context.coxeter_element, length_cap=2)
-    big = C.CoxeterContext("B", 5)
-    with pytest.raises(ResourceCapExceeded):
-        C.red_t_factorizations(big, big.coxeter_element)
+        C.hurwitz_orbits(context, context.coxeter_element)
 
 
 def test_braid_move_preserves_product_and_inverts():
