@@ -257,7 +257,7 @@ def _cox_nccount(args) -> dict:
         "count": len(elems),
     }
     if args.lattice:
-        out["lattice_check"] = coxeter.nc_lattice_check(elems)
+        out["lattice_check"] = coxeter.nc_lattice_check(ctx, elems)
     return out
 
 

@@ -15,7 +15,9 @@ each step reads its lowering reflections off the signed cycle type (see
 `_lowering`) instead of trying every t in T, so no query builds W itself.
 One walk over the length levels of [1, w] (`_levels`) gives both NC(W, c) and
 the number of reduced factorizations of w, which bounds their enumeration
-before it starts.
+before it starts.  The lattice check builds each ideal of NC(W, c) from the
+same cover steps, so only `abs_le`, which decides one given pair, tests the
+length identity.
 
 The signed cycle type also decides the remaining classes: Coxeter elements
 (Carter 1972), quasi-Coxeter and parabolic quasi-Coxeter elements
@@ -63,6 +65,10 @@ class CoxeterContext:
     names, the simple reflections and the default Coxeter element
     (product of the simple reflections in order).  Nothing of size |W| is
     built; `elements` generates the group from the simples on first use.
+    Only tests read `elements`, `order` and `generated_subgroup`, but they
+    stay here: the benchmark's tracer reads `ctx.elements` and `ctx.order`
+    in its hooks on this constructor and on `nc_set`, so every traced `cox`
+    run needs them.
     """
 
     def __init__(self, family: str, rank: int, rank_cap: int | None = None):
@@ -130,7 +136,8 @@ class CoxeterContext:
 
     @cached_property
     def elements(self) -> tuple[Window, ...]:
-        """All of W, sorted; no query reads it."""
+        """All of W, sorted; no query reads it.  Tests and the benchmark's
+        tracer do, so it stays on the context."""
         return tuple(sorted(generated_subgroup(self, list(self.simples))))
 
     @property
@@ -421,25 +428,31 @@ def generated_subgroup(ctx: CoxeterContext, gens: list[Window]) -> frozenset[Win
     return frozenset(_closure([identity(ctx.n), *gens], lambda x: (mul(x, g) for g in gens)))
 
 
-def nc_lattice_check(elems: list[Window]) -> bool:
-    """Exhaustively verify that NC(W, c), given as `nc_set` returns it, is a
-    lattice: it has a top and every pair has a meet.
+def nc_lattice_check(ctx: CoxeterContext, elems: list[Window]) -> bool:
+    """Exhaustively verify that elems, NC(W, c) as `nc_set` returns it or a
+    subset of it, is a lattice under the absolute order: it has a top and
+    every pair has a meet.
 
-    The ideal of v is the bitset of the u <= v.  The common lower bounds of
-    x and y are the AND of their ideals, and x and y have a meet z exactly
-    when that AND is the ideal of z; likewise a top is an element whose
-    ideal is everything.  In a finite poset with a top that suffices, since
-    the join of x and y is the meet of their common upper bounds.
+    The ideal of v is the bitset of the u in elems with u <= v: v's own bit
+    OR the ideals of the t v it covers, t in `_lowering(v)`, memoised over
+    the down-sets of elems.  The common lower bounds of x and y are the AND
+    of their ideals, and x and y have a meet z exactly when that AND is the
+    ideal of z; likewise a top is an element whose ideal is everything.  In
+    a finite poset with a top that suffices, since the join of x and y is
+    the meet of their common upper bounds.
     """
-    lengths = [_reflection_length(u) for u in elems]
-    inverses = [inv(u) for u in elems]
-    ideals = []
-    for v, lv in zip(elems, lengths):
-        bits = 0
-        for k, (u, lu) in enumerate(zip(elems, lengths)):
-            if u == v or lu < lv and lu + _reflection_length(mul(inverses[k], v)) == lv:
-                bits |= 1 << k
-        ideals.append(bits)
+    index = {u: k for k, u in enumerate(elems)}
+    memo: dict[Window, int] = {}
+
+    def ideal(v: Window) -> int:
+        if v not in memo:
+            bits = 1 << index[v] if v in index else 0
+            for t in _lowering(ctx, v):
+                bits |= ideal(mul(t, v))
+            memo[v] = bits
+        return memo[v]
+
+    ideals = [ideal(v) for v in elems]
     known = set(ideals)
     if (1 << len(elems)) - 1 not in known:
         return False

@@ -20,9 +20,8 @@ i -> i+1.  This matches the picture of dual points placed in the arcs
 from __future__ import annotations
 
 import os
-from collections import Counter
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
@@ -316,31 +315,18 @@ def mobius_closed(p: NCPartition, q: NCPartition) -> int:
     return out
 
 
-def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into parts of at most largest, parts non-increasing."""
-    if not n:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _integer_partitions(n - first, first):
-            yield (first, *rest)
-
-
 @cache
 def _mobius_full(s: int) -> int:
-    """mu(bottom, top) of NC(s) by the defining recursion mu_s = -sum of
-    mu(bottom, x) over x < top, summed by block type: [bottom, x] is the
-    product of NC(|B|) over the blocks B of x, and NC(s) has
-    s! / ((s - k + 1)! * prod m_i!) elements whose k block sizes take each
-    value m_i times (Kreweras 1972)."""
+    """mu(bottom, top) of NC(s) by the first-block recursion.
+
+    mu(bottom, x) is the product of mu_|B| over the blocks B of x, and these
+    sum to 0 over NC(s) for s >= 2.  Grouped by the block of 1, of size k,
+    the partitions of each gap it leaves sum to 0 unless the gap holds at
+    most one point, so mu_s = -sum of C(k, s - k) mu_k over s/2 <= k < s.
+    """
     if s == 1:
         return 1
-    total = 0
-    for sizes in _integer_partitions(s, s - 1):
-        count = factorial(s) // factorial(s - len(sizes) + 1)
-        count //= prod(map(factorial, Counter(sizes).values()))
-        total += count * prod(map(_mobius_full, sizes))
-    return -total
+    return -sum(comb(k, s - k) * _mobius_full(k) for k in range(s - 1, (s - 1) // 2, -1))
 
 
 def mobius_nc(p: NCPartition, q: NCPartition) -> int:

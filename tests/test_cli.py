@@ -245,6 +245,11 @@ def test_raised_cap_results_within_python_limits_exit_0(monkeypatch, capsys):
     count = noncross.catalan(1500)
     expected = {"kind": "nc_count", "m": 1500, "count": count, "catalan": count}
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    monkeypatch.setenv("NONCROSS_CAP", "60")
+    with budget("nc mobius --m 45", 1):  # p(45) block types: a sum over them takes seconds
+        assert cli.main(["nc", "mobius", "--m", "45"]) == 0
+        out = json.loads(capsys.readouterr().out)
+    assert out["recursive"] == out["closed_form"] == noncross.catalan(44)
 
 
 def test_kreweras_route_ignores_the_enumeration_cap(monkeypatch):
@@ -279,6 +284,15 @@ def test_interval_commands_at_the_cap_enumerate_nothing():
     assert sum(euler.payload["f_vector"]) == 1_882_449_265_797
     assert euler.payload["euler_reduced"] == euler.payload["mobius"] == -58786
     assert mobius.payload["recursive"] == mobius.payload["closed_form"] == -58786
+
+
+def test_lattice_check_at_the_rank_cap_walks_covers(capsys):
+    # A pairwise absolute-order test over these 1,430 elements takes seconds.
+    with budget("cox nccount --family A --rank 7 --lattice", 1):
+        assert cli.main(["cox", "nccount", "--family", "A", "--rank", "7", "--lattice"]) == 0
+        out = json.loads(capsys.readouterr().out)
+    assert out["count"] == 1430 and out["lattice_check"] is True
+
 
 @pytest.mark.parametrize("command", ["ncset", "nccount", "dualrel"])
 def test_a_non_coxeter_element_is_rejected_where_c_must_be_coxeter(command, capsys):

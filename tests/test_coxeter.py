@@ -217,7 +217,8 @@ def test_lowering_reflections_read_off_the_cycle_type_match_the_filter_over_t(fa
 def test_walks_multiply_once_per_cover_step(monkeypatch):
     # A scan over T would form one trial product per reflection and step.
     # Each step of the descent is one edge of its tree: one nonempty prefix;
-    # the count walk before it multiplies once per cover of [1, c].
+    # the count walk before it multiplies once per cover of [1, c], as does
+    # the lattice check building its ideals (a pairwise length test makes 65,241).
     a6, b4 = ctx("A", 6), ctx("B", 4)
     covers = {cx: sum(len(lowering_by_filter(cx, u)) for u in C.nc_set(cx)) for cx in (a6, b4)}
     steps = len({f[:k] for f in descent_by_filter(b4, b4.coxeter_element) for k in range(1, len(f) + 1)})
@@ -229,7 +230,10 @@ def test_walks_multiply_once_per_cover_step(monkeypatch):
         return mul(u, v)
 
     monkeypatch.setattr(C, "mul", counting_mul)
-    C.nc_set(a6)
+    elems = C.nc_set(a6)
+    assert calls == covers[a6] == 2002
+    calls = 0
+    assert C.nc_lattice_check(a6, elems)
     assert calls == covers[a6]
     calls = 0
     C.red_t_factorizations(b4, b4.coxeter_element)
@@ -309,7 +313,8 @@ def test_duality_reverses_the_order_below_c(family, rk):
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3), ("D", 4)])
 def test_nc_lattice_check(family, rk):
-    assert C.nc_lattice_check(C.nc_set(ctx(family, rk)))
+    context = ctx(family, rk)
+    assert C.nc_lattice_check(context, C.nc_set(context))
 
 
 def test_nc_lattice_check_agrees_with_the_pairwise_oracle():
@@ -318,11 +323,12 @@ def test_nc_lattice_check_agrees_with_the_pairwise_oracle():
     verdicts = set()
     for family, ranks in (("A", range(1, 5)), ("B", (2, 3)), ("D", (2, 3, 4))):
         for rk in ranks:
-            elems = C.nc_set(ctx(family, rk))
-            assert C.nc_lattice_check(elems) and pairwise_lattice_check(elems)
+            context = ctx(family, rk)
+            elems = C.nc_set(context)
+            assert C.nc_lattice_check(context, elems) and pairwise_lattice_check(elems)
             for k in range(len(elems)):
                 rest = elems[:k] + elems[k + 1 :]
-                verdict = C.nc_lattice_check(rest)
+                verdict = C.nc_lattice_check(context, rest)
                 assert verdict == pairwise_lattice_check(rest), (family, rk, k)
                 verdicts.add(verdict)
     assert verdicts == {True, False}

@@ -329,6 +329,12 @@ def test_full_interval_mobius_value(m):
     assert value == (-1) ** (m - 1) * P.catalan(m - 1)
 
 
+def test_first_block_recursion_is_the_signed_catalan_number():
+    # Ascending s fills the cache, so each call recurses one level only.
+    for s in range(1, 301):
+        assert P._mobius_full(s) == (-1) ** (s - 1) * P.catalan(s - 1), s
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_mobius_recursion_matches_closed_form_on_all_intervals(m):
     for q in nc_all(m):
