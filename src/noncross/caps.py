@@ -17,3 +17,5 @@ ELL_CAP = 16
 TRIALS_CAP = 10_000
 K_CAP = 12
 THREADS_CAP = 64
+# randmat: the most the workers' n x n matrices may hold together, in MiB.
+RMT_MEMORY_CAP_MIB = 2048

@@ -364,21 +364,15 @@ def _topo_chains(args) -> dict:
 # rmt group.
 
 
-def _nproc() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _rmt_verify(args) -> dict:
     spec = randmat.GinibreSpec(
         n=args.n, ell=args.ell, kind=args.kind, trials=args.trials, seed=args.seed
     )
     # Before numpy loads: BLAS threads times worker threads should not exceed
-    # the cores, or each worker's BLAS pool spins against the others.
-    os.environ.update(
-        randmat.blas_thread_budget(args.threads, os.environ, sys.modules, _nproc())
-    )
+    # the cores a draw-ahead helper leaves, or BLAS pools spin against the
+    # other threads.
+    plan = randmat.thread_plan(args.threads, spec.trials)
+    os.environ.update(randmat.blas_thread_budget(plan, os.environ, sys.modules))
     estimates = randmat.estimate_moments(spec, args.k, threads=args.threads)
     max_z = max(e.z_score for e in estimates)
     return {

@@ -14,7 +14,8 @@ power of a is Hermitian, so for k >= 2
     tr(a^k) = tr(a^floor(k/2) a^ceil(k/2)) = Re sum_ij conj(a^floor(k/2))_ij (a^ceil(k/2))_ij,
 
 an elementwise reduction in place of the other half of the matrix products;
-tr(a) is read off the diagonal.
+tr(a) is read off the diagonal.  Each trace is taken as soon as its two half
+powers exist, so only the last two are kept.
 
 Randomness comes from the counter-based Philox generator with one jumped
 substream per trial, so results are reproducible for a given seed and
@@ -25,22 +26,54 @@ depend on it.  So the output is the same bytes for every ``threads`` value
 and every BLAS thread setting.  NumPy is imported inside the functions that
 use it, so importing this module (and the CLI) does not load it.
 
+A trial runs in two stages.  The draw stage opens the trial's substream and
+draws its Ginibre factors (ell of them for a product, one for a power); the
+multiply stage forms W, a = W W*, the half powers and the traces.  Trial i
+goes to worker i mod w, for w = min(threads, trials) workers, and each
+worker returns its rows to be put back in trial order.  While the workers
+leave cores idle, a worker's draw stage runs on a helper thread of its own,
+up to two matrices ahead of its multiply stage, so the Philox sampling
+overlaps the matrix products instead of leaving a BLAS thread spinning
+through it.  ``thread_plan`` decides the workers, the helpers and the BLAS
+threads of each worker from the cores this process may use.
+
+Every n x n array a worker touches is allocated once per worker and reused
+by every trial: four complex matrices for the multiply stage (a and three
+spares for W, the powers and the conjugates) and the draw buffers.  Without
+a helper that is one buffer, whose Gaussians pass through the first half of
+a (a is written only after a trial's last draw); with a helper it is
+``DRAW_AHEAD + 1`` = 3 buffers and an n x n float scratch of the helper's
+own.  So a worker holds at most 7.5 complex matrices, 16 n^2 bytes each;
+the cap counts ``MATRICES_PER_WORKER`` = 8.
+
 Caps bound one trial's memory and a run's time: n <= 1024 keeps each complex
-matrix at 16 MiB and k <= 12 keeps at most six powers alive, so a worker
-holds about ten such matrices (~160 MiB); ell <= 16 and k <= 12 bound a
-trial to 21 matrix products, and trials <= 10,000 bound the run.
-threads <= 64 bounds the pool; memory grows with the workers, so 64 of them
-at n = 1024 would hold ~10 GiB.
+matrix at 16 MiB, so a worker holds at most 128 MiB; ell <= 16 and k <= 12
+bound a trial to 21 matrix products, and trials <= 10,000 bound the run.
+threads <= 64 bounds the pool, and the joint cap RMT_MEMORY_CAP_MIB bounds
+workers x 8 x 16 n^2 bytes, so 64 workers run only up to n = 512 and 16 at
+n = 1024, never the ~8 GiB that 64 workers would hold there.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import itertools
+import os
+from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._frozen import Frozen
-from .caps import ELL_CAP, K_CAP, KINDS, N_CAP, THREADS_CAP, TRIALS_CAP
+from .caps import (
+    ELL_CAP,
+    K_CAP,
+    KINDS,
+    N_CAP,
+    RMT_MEMORY_CAP_MIB,
+    THREADS_CAP,
+    TRIALS_CAP,
+)
 from .errors import FormatError, ResourceCapExceeded
 from .freeprob import free_bessel_moments
 
@@ -48,6 +81,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# How many matrices a helper's draw stage may run ahead of its worker.
+DRAW_AHEAD = 2
+# The n x n complex matrices one worker holds at most (module docstring):
+# four for the products, a helper's draw buffers, and its float scratch
+# (half a complex matrix) rounded up to one.
+MATRICES_PER_WORKER = 4 + (DRAW_AHEAD + 1) + 1
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -107,56 +146,175 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(trial))
 
 
-def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One N x N complex Ginibre matrix with entry variance 1/N."""
+def sample_ginibre(
+    n: int, rng: np.random.Generator, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """One N x N complex Ginibre matrix with entry variance 1/N, written into
+    ``out`` (n x n complex).  The real parts are drawn first, then the
+    imaginary parts, each into ``scratch`` (n x n float).  Either array is
+    allocated when not given."""
     import numpy as np
 
-    real = rng.standard_normal((n, n))
-    imag = rng.standard_normal((n, n))
-    return (real + 1j * imag) / np.sqrt(2 * n)
+    if out is None:
+        out = np.empty((n, n), dtype=complex)
+    if scratch is None:
+        scratch = np.empty((n, n))
+    out.real[...] = rng.standard_normal(out=scratch)
+    out.imag[...] = rng.standard_normal(out=scratch)
+    return np.divide(out, np.sqrt(2 * n), out=out)
 
 
-def _gram(spec: GinibreSpec, trial: int) -> np.ndarray:
-    """a = W W* for one trial, drawn from the trial's own substream."""
+def _draws(
+    spec: GinibreSpec, trials: Iterable[int], buffers: int, scratch: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The draw stage: the Ginibre factors of ``trials`` in order, each from
+    its trial's substream, drawn through ``scratch`` into ``buffers`` reused
+    n x n arrays in turn.  A yielded matrix stays valid until ``buffers``
+    more are asked for."""
     import numpy as np
 
-    rng = trial_rng(spec.seed, trial)
-    if spec.kind == "product":
-        w = sample_ginibre(spec.n, rng)
-        for _ in range(spec.ell - 1):
-            w = w @ sample_ginibre(spec.n, rng)
+    n = spec.n
+    ring = itertools.cycle([np.empty((n, n), dtype=complex) for _ in range(buffers)])
+    factors = spec.ell if spec.kind == "product" else 1
+    for trial in trials:
+        rng = trial_rng(spec.seed, trial)
+        for _ in range(factors):
+            yield sample_ginibre(n, rng, out=next(ring), scratch=scratch)
+
+
+def _ahead(draws: Iterator, helper) -> Iterator:
+    """``draws`` advanced on the executor ``helper`` ``DRAW_AHEAD`` items
+    ahead of the caller; a draw's exception is raised where its item would
+    have been."""
+    pending = deque(helper.submit(next, draws, None) for _ in range(DRAW_AHEAD))
+    while (item := pending.popleft().result()) is not None:
+        pending.append(helper.submit(next, draws, None))
+        yield item
+
+
+def _matrix_power(g: np.ndarray, ell: int, mul) -> np.ndarray:
+    """g^ell by ``numpy.linalg.matrix_power``'s products, in its order."""
+    if ell == 3:
+        return mul(mul(g, g), g)
+    z = result = None
+    while ell:
+        z = g if z is None else mul(z, z, result)
+        ell, bit = divmod(ell, 2)
+        if bit:
+            result = z if result is None else mul(result, z)
+    return result
+
+
+def _trial_moments(
+    spec: GinibreSpec, k_max: int, draws: Iterator[np.ndarray], buffers: list[np.ndarray]
+) -> np.ndarray:
+    """The multiply stage of one trial: W from the trial's draws, a = W W*
+    in ``buffers[0]``, and tr(a^k) / n for k = 1..k_max.  Every other product
+    and conjugate goes to whichever of the three other buffers no live
+    operand occupies."""
+    import numpy as np
+
+    a, *spare = buffers
+
+    def free(*live: np.ndarray) -> np.ndarray:
+        return next(b for b in spare if all(b is not x for x in live))
+
+    def mul(x: np.ndarray, y: np.ndarray, *live: np.ndarray) -> np.ndarray:
+        return np.matmul(x, y, out=free(x, y, *live))
+
+    g = next(draws)
+    if spec.kind == "power":
+        w = _matrix_power(g, spec.ell, mul)
+    elif spec.ell == 1:
+        w = g
     else:
-        g = sample_ginibre(spec.n, rng)
-        w = np.linalg.matrix_power(g, spec.ell)
-    return w @ w.conj().T
-
-
-def _trial_moments(spec: GinibreSpec, k_max: int, trial: int) -> np.ndarray:
-    import numpy as np
-
-    a = _gram(spec, trial)
-    powers = [a]  # powers[j] = a^(j + 1)
-    for _ in range((k_max + 1) // 2 - 1):
-        powers.append(powers[-1] @ a)
+        # The next draw may reuse g's buffer.
+        w = spare[0]
+        np.copyto(w, g)
+        for _ in range(spec.ell - 1):
+            w = mul(w, next(draws))
+    np.matmul(w, np.conjugate(w, out=free(w)).T, out=a)
     out = np.empty(k_max)
     out[0] = np.trace(a).real / spec.n
+    low = high = a  # a^floor(k/2), a^ceil(k/2)
     for k in range(2, k_max + 1):
-        low, high = powers[k // 2 - 1], powers[(k + 1) // 2 - 1]
-        out[k - 1] = np.einsum("ij,ij->", low.conj(), high).real / spec.n
+        if k % 2:
+            low, high = high, mul(high, a)
+        else:
+            low = high
+        conj_low = np.conjugate(low, out=free(low, high))
+        out[k - 1] = np.einsum("ij,ij->", conj_low, high).real / spec.n
     return out
 
 
+def _rows(spec: GinibreSpec, k_max: int, trials: range, ahead: bool) -> list[np.ndarray]:
+    """One worker's moment rows for ``trials``, in order; ``ahead`` runs its
+    draw stage on a helper thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    n = spec.n
+    buffers = [np.empty((n, n), dtype=complex) for _ in range(4)]
+    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
+        if ahead:
+            draws = _ahead(_draws(spec, trials, DRAW_AHEAD + 1, np.empty((n, n))), helper)
+        else:
+            # a = buffers[0] is written only after a trial's last draw, so
+            # the draws borrow its first half as their scratch.
+            scratch = buffers[0].view(float).reshape(-1)[: n * n].reshape(n, n)
+            draws = _draws(spec, trials, 1, scratch)
+        return [_trial_moments(spec, k_max, draws, buffers) for _ in trials]
+
+
+def _nproc() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class ThreadPlan(NamedTuple):
+    """How a run uses the cores: ``workers`` threads run the trials, the
+    first ``helpers`` of them each with a draw-ahead thread, and each worker
+    gets ``blas`` BLAS threads."""
+
+    workers: int
+    helpers: int
+    blas: int
+
+
+def thread_plan(threads: int, trials: int) -> ThreadPlan:
+    """Workers for ``threads`` on ``trials`` trials, a helper for each worker
+    while cores are left idle, and the other cores' share for each worker's
+    BLAS (at least 1)."""
+    if threads < 1:
+        raise FormatError("threads must be >= 1")
+    _check_cap("threads", threads, THREADS_CAP)
+    cores = _nproc()
+    workers = min(threads, trials)
+    helpers = min(workers, max(0, cores - workers))
+    return ThreadPlan(workers, helpers, max(1, (cores - helpers) // workers))
+
+
 def blas_thread_budget(
-    threads: int, environ: Mapping[str, str], modules: Mapping[str, object], nproc: int
+    plan: ThreadPlan, environ: Mapping[str, str], modules: Mapping[str, object]
 ) -> dict[str, str]:
-    """The BLAS thread variables to set so ``threads`` workers share ``nproc``
-    cores: ``nproc // threads`` (at least 1) each.  Empty for one worker or
-    once numpy is loaded (BLAS reads them only at load); a variable already
-    in ``environ`` is left to the user."""
-    if threads <= 1 or "numpy" in modules:
+    """The BLAS thread variables to set to ``plan.blas``.  Empty once numpy
+    is loaded (BLAS reads them only at load); a variable already in
+    ``environ`` is left to the user."""
+    if "numpy" in modules:
         return {}
-    share = str(max(1, nproc // threads))
-    return {var: share for var in BLAS_THREAD_VARS if var not in environ}
+    return {var: str(plan.blas) for var in BLAS_THREAD_VARS if var not in environ}
+
+
+def _check_memory(spec: GinibreSpec, plan: ThreadPlan) -> None:
+    held = plan.workers * MATRICES_PER_WORKER * spec.n**2 * 16
+    if held > RMT_MEMORY_CAP_MIB << 20:
+        raise ResourceCapExceeded(
+            f"workers x matrices x n^2 x 16 bytes = {plan.workers} x {MATRICES_PER_WORKER}"
+            f" x {spec.n}^2 x 16 = {held >> 20} MiB exceeds the cap {RMT_MEMORY_CAP_MIB} MiB"
+        )
 
 
 def estimate_moments(
@@ -166,22 +324,24 @@ def estimate_moments(
     and the exact rational targets from the moment calculus."""
     if k_max < 1:
         raise FormatError("k_max must be >= 1")
-    if threads < 1:
-        raise FormatError("threads must be >= 1")
     _check_cap("k", k_max, K_CAP)
-    _check_cap("threads", threads, THREADS_CAP)
+    plan = thread_plan(threads, spec.trials)
+    _check_memory(spec, plan)
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
     targets = free_bessel_moments(spec.ell, k_max)
-    if threads == 1:
-        rows = [_trial_moments(spec, k_max, t) for t in range(spec.trials)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda t: _trial_moments(spec, k_max, t), range(spec.trials))
+    workers = plan.workers
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(
+            pool.map(
+                lambda i: _rows(spec, k_max, range(i, spec.trials, workers), i < plan.helpers),
+                range(workers),
             )
+        )
+    rows = [None] * spec.trials
+    for i, part in enumerate(parts):
+        rows[i::workers] = part
     data = np.vstack(rows)
     means = data.mean(axis=0)
     stderr = data.std(axis=0, ddof=1) / np.sqrt(spec.trials)

@@ -756,19 +756,27 @@ def closure_is_generated(ctx, w) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the Monte Carlo kernel: every power a, a^2, ..., a^k_max by
-# repeated matrix products from the identity, each trace read off the
-# diagonal.
+# Oracle for the Monte Carlo kernel: W drawn as the README defines the
+# variants, every power a, a^2, ..., a^k_max by repeated matrix products from
+# the identity, each trace read off the diagonal.
 
 
 def matmul_trial_moments(spec, k_max: int, trial: int):
-    """tr(a^k) / n for k = 1..k_max, with a = W W* sampled as the kernel
-    samples it, by k_max full matrix products."""
+    """tr(a^k) / n for k = 1..k_max by k_max full matrix products, with
+    a = W W* and W the product of ell Ginibre matrices drawn in turn from the
+    trial's substream, or the ell-th power of one."""
     import numpy as np
 
-    from noncross.randmat import _gram
+    from noncross.randmat import sample_ginibre, trial_rng
 
-    a = _gram(spec, trial)
+    rng = trial_rng(spec.seed, trial)
+    if spec.kind == "product":
+        w = sample_ginibre(spec.n, rng)
+        for _ in range(spec.ell - 1):
+            w = w @ sample_ginibre(spec.n, rng)
+    else:
+        w = np.linalg.matrix_power(sample_ginibre(spec.n, rng), spec.ell)
+    a = w @ w.conj().T
     out = np.empty(k_max)
     power = np.eye(spec.n, dtype=complex)
     for k in range(1, k_max + 1):

@@ -336,6 +336,19 @@ def test_rmt_inputs_over_the_caps_exit_3(flag, cap, capsys):
     assert out == "" and f"exceeds the cap {cap}" in err
 
 
+def test_rmt_workers_matrices_over_the_joint_cap_exit_3(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled past a cap")
+
+    monkeypatch.setattr(randmat, "trial_rng", no_sampling)
+    argv = ["rmt", "verify", "--n", str(randmat.N_CAP), "--threads", "17"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"workers x matrices x n^2 x 16 bytes = 17 x 8 x {randmat.N_CAP}^2 x 16" in err
+    assert f"exceeds the cap {caps.RMT_MEMORY_CAP_MIB} MiB" in err
+
+
 def loads(argv: list[str] | None) -> dict:
     """The layers whose bodies ran and the modules loaded by a fresh process
     that imports the CLI and, given argv, runs that command."""
@@ -465,12 +478,14 @@ def test_only_printed_free_values_must_be_printable(argv, values, capsys):
 def test_rmt_output_is_independent_of_worker_and_blas_threads():
     # n = 128 is large enough that a threaded BLAS level-1 reduction would
     # split its sum, so a reduction that went through one would show here.
+    # On two cores one worker draws ahead on a helper thread, while three
+    # workers are more than the cores and run none.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in randmat.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = src
     argv = [sys.executable, "-m", "noncross.cli", "rmt", "verify", "--n", "128", "--trials", "4", "--k", "6"]
     outputs = set()
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         for blas in ("1", "2"):
             done = subprocess.run(
                 argv + ["--threads", threads],

@@ -3,6 +3,7 @@ distributional sanity with fixed seeds, and agreement with the exact
 moment targets."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,14 @@ def test_inputs_over_the_caps_are_refused_before_sampling(monkeypatch):
         R.estimate_moments(spec, R.K_CAP + 1)
     with pytest.raises(ResourceCapExceeded):
         R.estimate_moments(spec, 2, threads=R.THREADS_CAP + 1)
+    # The joint cap on the workers' matrices: 16 workers at n = 1024 hold
+    # 16 x 8 x 16 MiB = 2048 MiB, one more worker is refused.
+    big = R.GinibreSpec(**{**base, "n": R.N_CAP, "trials": 50})
+    R._check_memory(big, R.thread_plan(16, big.trials))
+    with pytest.raises(ResourceCapExceeded, match=r"workers x matrices x n\^2 x 16 bytes = 17 x 8"):
+        R.estimate_moments(big, 2, threads=17)
+    # Only the workers that run count: 64 threads on 4 trials are 4 workers.
+    R._check_memory(R.GinibreSpec(**{**base, "n": R.N_CAP}), R.thread_plan(R.THREADS_CAP, 4))
 
 
 def test_z_score_conventions():
@@ -123,23 +132,120 @@ def test_stderr_shrinks_with_more_trials():
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
 def test_half_power_kernel_matches_the_full_power_oracle(kind, ell, n):
-    # k = 1 is the same diagonal sum; k >= 2 pairs two half powers, which
-    # reorders the floating-point sums, so it agrees to a tolerance.
+    # k = 1 is the same diagonal sum of the same a = W W*, so it is equal
+    # exactly; k >= 2 pairs two half powers, which reorders the
+    # floating-point sums, so it agrees to a tolerance.
     spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=2, seed=n + 10 * ell)
     for k_max in range(1, 9):
-        for trial in range(2):
-            got = R._trial_moments(spec, k_max, trial)
+        for trial, got in enumerate(R._rows(spec, k_max, range(2), ahead=False)):
             want = matmul_trial_moments(spec, k_max, trial)
             assert got[0] == want[0]
             np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
 
 
-def test_blas_thread_budget_splits_the_cores_and_defers_to_the_user():
-    share = {var: "2" for var in R.BLAS_THREAD_VARS}
-    assert R.blas_thread_budget(2, {}, {}, nproc=4) == share
-    assert R.blas_thread_budget(8, {}, {}, nproc=4) == {var: "1" for var in R.BLAS_THREAD_VARS}
-    assert R.blas_thread_budget(1, {}, {}, nproc=4) == {}
+@pytest.mark.parametrize("kind", R.KINDS)
+def test_kernel_forms_the_oracles_w_at_every_ell(kind):
+    # The kernel reuses its buffers; numpy's matrix_power and the product
+    # loop allocate.  Equal tr(W W*) at every ell up to the cap shows the
+    # same products in the same order, with no live operand overwritten.
+    for ell in range(1, R.ELL_CAP + 1):
+        spec = R.GinibreSpec(n=5, ell=ell, kind=kind, trials=2, seed=ell)
+        for trial, got in enumerate(R._rows(spec, 1, range(2), ahead=False)):
+            assert got[0] == matmul_trial_moments(spec, 1, trial)[0]
+
+
+def test_blas_thread_budget_splits_the_cores_and_defers_to_the_user(monkeypatch):
+    monkeypatch.setattr(R, "_nproc", lambda: 4)
+    # (threads, trials) -> (workers, helpers, BLAS threads per worker): a
+    # helper per worker while cores are idle, the rest of the cores to BLAS.
+    # One worker gets a share too, beside its helper.
+    assert R.thread_plan(1, 50) == (1, 1, 3)
+    assert R.thread_plan(2, 50) == (2, 2, 1)
+    assert R.thread_plan(3, 50) == (3, 1, 1)
+    assert R.thread_plan(8, 50) == (8, 0, 1)
+    assert R.thread_plan(8, 2) == (2, 2, 1)  # only the workers that run count
+    monkeypatch.setattr(R, "_nproc", lambda: 1)
+    assert R.thread_plan(1, 50) == (1, 0, 1)
+    with pytest.raises(FormatError):
+        R.thread_plan(0, 50)
+    plan = R.ThreadPlan(workers=2, helpers=0, blas=2)
+    assert R.blas_thread_budget(plan, {}, {}) == {var: "2" for var in R.BLAS_THREAD_VARS}
     user = {"OMP_NUM_THREADS": "3"}
-    budget = R.blas_thread_budget(2, user, {}, nproc=4)
+    budget = R.blas_thread_budget(plan, user, {})
     assert "OMP_NUM_THREADS" not in budget and budget["OPENBLAS_NUM_THREADS"] == "2"
-    assert R.blas_thread_budget(2, {}, {"numpy": np}, nproc=4) == {}
+    assert R.blas_thread_budget(plan, {}, {"numpy": np}) == {}
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_estimates_are_identical_with_and_without_draw_ahead(cores, monkeypatch):
+    # On 4 cores threads 1 and 2 run a helper per worker and threads 3 one
+    # helper for three workers; on 1 core nothing runs ahead.
+    monkeypatch.setattr(R, "_nproc", lambda: cores)
+    results = []
+    for threads in (1, 2, 3):
+        assert (R.thread_plan(threads, 7).helpers > 0) == (cores > 1)
+        for kind in R.KINDS:
+            spec = R.GinibreSpec(n=24, ell=3, kind=kind, trials=7, seed=11)
+            results.append((kind, R.estimate_moments(spec, 5, threads=threads)))
+    monkeypatch.setattr(R, "_nproc", lambda: 1)
+    for kind, got in results:
+        spec = R.GinibreSpec(n=24, ell=3, kind=kind, trials=7, seed=11)
+        assert got == R.estimate_moments(spec, 5)
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_draw_ends_the_run_and_its_threads(threads, monkeypatch):
+    monkeypatch.setattr(R, "_nproc", lambda: 4)
+    assert R.thread_plan(threads, 8).helpers == threads
+    calls = []
+    lock = threading.Lock()
+    sample = R.sample_ginibre
+
+    def third_call_fails(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            if len(calls) == 3:
+                raise Boom("third draw")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(R, "sample_ginibre", third_call_fails)
+    before = threading.active_count()
+    spec = R.GinibreSpec(n=16, ell=2, kind="product", trials=8, seed=0)
+    with pytest.raises(Boom, match="third draw"):
+        R.estimate_moments(spec, 4, threads=threads)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_multiply_stops_the_helper(threads, monkeypatch):
+    monkeypatch.setattr(R, "_nproc", lambda: 4)
+    draws, calls = [], []
+    lock = threading.Lock()
+    sample, multiply = R.sample_ginibre, R._trial_moments
+
+    def counted(*args, **kwargs):
+        with lock:
+            draws.append(None)
+        return sample(*args, **kwargs)
+
+    def third_call_on_fails(*args):
+        with lock:
+            calls.append(None)
+            if len(calls) >= 3:
+                raise Boom("multiply")
+        return multiply(*args)
+
+    monkeypatch.setattr(R, "sample_ginibre", counted)
+    monkeypatch.setattr(R, "_trial_moments", third_call_on_fails)
+    before = threading.active_count()
+    spec = R.GinibreSpec(n=16, ell=1, kind="product", trials=200, seed=0)
+    with pytest.raises(Boom, match="multiply"):
+        R.estimate_moments(spec, 4, threads=threads)
+    assert threading.active_count() == before
+    # Two trials took a draw each; every helper stopped within its
+    # draw-ahead window instead of drawing the other trials.
+    assert len(draws) <= 2 + threads * R.DRAW_AHEAD
