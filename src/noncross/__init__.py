@@ -31,7 +31,7 @@ _EXPORTS = {
     "partitions": (
         "NCPartition", "SetPartition", "catalan", "enumerate_nc",
         "is_noncrossing", "iter_nc", "join_nc", "kreweras", "meet_nc",
-        "mobius_closed", "mobius_nc", "rank", "refine_le", "rotate",
+        "mobius_nc", "rank", "refine_le", "rotate",
     ),
     "freeprob": (
         "CumulantSequence", "MomentSequence", "clt_even_moments", "clt_moments",

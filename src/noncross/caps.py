@@ -4,6 +4,9 @@ their caps from here, and the CLI builds its parser from it alone."""
 # partitions: largest m of a full NC(m) enumeration; NONCROSS_CAP overrides it.
 DEFAULT_ENUM_CAP = 12
 ENUM_CAP_ENV = "NONCROSS_CAP"
+# complexes: largest m of an order complex's f-vector (`topo euler`), fixed:
+# the one NC(m) command whose work grows past O(m) without enumerating.
+ORDER_COMPLEX_M_CAP = 450
 # freeprob: largest truncation order of the exact series transforms.
 SERIES_ORDER_CAP = 60
 # coxeter: largest context rank per family, and the most reduced

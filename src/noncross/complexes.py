@@ -23,7 +23,8 @@ from __future__ import annotations
 from math import comb, prod
 from typing import NamedTuple
 
-from .errors import FormatError, NotComparable
+from .caps import ORDER_COMPLEX_M_CAP
+from .errors import FormatError, NotComparable, ResourceCapExceeded
 from .partitions import NCPartition, _check_cap, blockwise_complement, rank
 
 
@@ -54,12 +55,19 @@ def order_complex_open_interval(p: NCPartition, q: NCPartition) -> SimplicialCom
     to q sits under C(k, j) of them (pick the steps that move), so the strict
     chain counts b_j solve Z(i) = sum of C(i, j) b_j over j <= i, and a
     strict chain of j steps has j - 1 interior elements: f_{j-2} = b_j.  The
-    enumeration cap bounds m, as for :func:`partitions.mobius_nc`.
+    enumeration cap bounds m, as for :func:`partitions.mobius_nc`, and so does
+    the fixed ``ORDER_COMPLEX_M_CAP`` even when the enumeration cap is raised
+    above it: the inversion is O(rank^2) big-integer terms.
     """
     if p == q:
         raise NotComparable("open interval needs p strictly below q")
     sizes = blockwise_complement(p, q)
     _check_cap(q.m)
+    if q.m > ORDER_COMPLEX_M_CAP:
+        raise ResourceCapExceeded(
+            f"the order complex of an interval of NC({q.m}) exceeds the fixed cap "
+            f"ORDER_COMPLEX_M_CAP = {ORDER_COMPLEX_M_CAP}"
+        )
     chains: list[int] = []
     for i in range(rank(q) - rank(p) + 1):
         multichains = prod(comb(i * s, s - 1) // s for s in sizes)

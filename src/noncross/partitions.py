@@ -294,53 +294,29 @@ def blockwise_complement(p: NCPartition, q: NCPartition) -> tuple[int, ...]:
     """
     if not refine_le(p, q):
         raise NotComparable(f"{p} is not a refinement of {q}")
+    qix = q.index_map()
+    inside: list[list[tuple[int, ...]]] = [[] for _ in q.blocks]
+    for pb in p.blocks:
+        inside[qix[pb[0]]].append(pb)
     sizes: list[int] = []
-    for B in q.blocks:
+    for B, sub_blocks in zip(q.blocks, inside):
         pos = {e: i + 1 for i, e in enumerate(B)}
-        sub_blocks = [tuple(pos[e] for e in pb) for pb in p.blocks if pb[0] in pos]
-        sub = NCPartition(len(B), tuple(sub_blocks))
+        sub = NCPartition(len(B), tuple(tuple(pos[e] for e in pb) for pb in sub_blocks))
         sizes.extend(len(c) for c in kreweras(sub).blocks)
     return tuple(sorted(sizes, reverse=True))
 
 
-def mobius_closed(p: NCPartition, q: NCPartition) -> int:
-    """Mobius value through the interval decomposition.
-
-    [p, q] factors as a product of full lattices NC(s) over the blockwise
-    complement sizes s, and each full NC(s) contributes (-1)^(s-1) C_{s-1}.
-    """
-    out = 1
-    for s in blockwise_complement(p, q):
-        out *= (-1) ** (s - 1) * catalan(s - 1)
-    return out
-
-
-@cache
-def _mobius_full(s: int) -> int:
-    """mu(bottom, top) of NC(s) by the first-block recursion.
-
-    mu(bottom, x) is the product of mu_|B| over the blocks B of x, and these
-    sum to 0 over NC(s) for s >= 2.  Grouped by the block of 1, of size k,
-    the partitions of each gap it leaves sum to 0 unless the gap holds at
-    most one point, so mu_s = -sum of C(k, s - k) mu_k over s/2 <= k < s.
-    """
-    if s == 1:
-        return 1
-    return -sum(comb(k, s - k) * _mobius_full(k) for k in range(s - 1, (s - 1) // 2, -1))
-
-
 def mobius_nc(p: NCPartition, q: NCPartition) -> int:
-    """Mobius value by the defining recursion: mu(p, p) = 1 and, for p < q,
-    mu(p, q) = -sum of mu(p, v) over p <= v < q.
+    """Mobius value of [p, q] in closed form.
 
     [p, q] is the product of the full lattices NC(s) over the blockwise
-    complement sizes s, and mu multiplies over a product, so the recursion
-    runs once per size, over the block types of NC(s).  The enumeration cap
+    complement sizes s (Kreweras 1972), mu multiplies over a product, and
+    mu(bottom, top) of NC(s) is (-1)^(s - 1) C_{s - 1}.  The enumeration cap
     bounds m, as for :func:`iter_nc`.
     """
     sizes = blockwise_complement(p, q)
     _check_cap(q.m)
-    return prod(map(_mobius_full, sizes))
+    return prod((-1) ** (s - 1) * catalan(s - 1) for s in sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +394,3 @@ def iter_nc(m: int) -> Iterator[NCPartition]:
 def enumerate_nc(m: int) -> list[NCPartition]:
     """All of NC(m) as a list, in the documented lexicographic order."""
     return list(iter_nc(m))
-
-
-def count_nc(m: int) -> int:
-    """|NC(m)| from the decomposition :func:`_generate` walks, generating no
-    list, so independent of :func:`catalan`.  The first block's members split
-    the other labels into gaps, each filled by a smaller NC.  With N(n) lists
-    over n labels and G(r) the fillings of the r labels after a first-block
-    member (one gap, or a gap of j labels then the next member): N(0) = 1,
-    N(n) = G(n - 1) and G(r) = N(r) + sum of N(j) * G(r - 1 - j) over j < r.
-    The enumeration cap bounds m, as for :func:`iter_nc`."""
-    _check_m(m)
-    lists, fills = [1], []
-    for r in range(m):
-        fills.append(lists[r] + sum(lists[j] * fills[r - 1 - j] for j in range(r)))
-        lists.append(fills[r])
-    return lists[m]

@@ -18,7 +18,15 @@ from itertools import chain, combinations, product
 from noncross.coxeter import _reflection_length, generated_subgroup, identity, inv, mul
 from noncross.errors import FormatError
 from noncross.freeprob import MomentSequence
-from noncross.partitions import NCPartition, catalan, enumerate_nc, kreweras, rank, refine_le
+from noncross.partitions import (
+    NCPartition,
+    blockwise_complement,
+    catalan,
+    enumerate_nc,
+    kreweras,
+    rank,
+    refine_le,
+)
 from noncross.series import _inverse_coeffs
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -312,6 +320,47 @@ def nc_pair_count(n: int) -> int:
     if n % 2:
         return 0
     return sum(nc_pair_count(inside) * nc_pair_count(n - 2 - inside) for inside in range(0, n - 1, 2)) if n else 1
+
+
+# ---------------------------------------------------------------------------
+# Second routes to |NC(m)| and to mu of NC(s), by the first-block
+# decomposition that the library's generator walks, with nothing enumerated
+# and no Catalan formula.  The library prints both from the closed forms.
+
+
+def first_block_count(m: int) -> int:
+    """|NC(m)| from the decomposition the generator walks.  The first block's
+    members split the other labels into gaps, each filled by a smaller NC.
+    With N(n) lists over n labels and G(r) the fillings of the r labels after
+    a first-block member (one gap, or a gap of j labels then the next
+    member): N(0) = 1, N(n) = G(n - 1) and G(r) = N(r) + sum of
+    N(j) * G(r - 1 - j) over j < r.  O(m^2) integer work."""
+    lists, fills = [1], []
+    for r in range(m):
+        fills.append(lists[r] + sum(lists[j] * fills[r - 1 - j] for j in range(r)))
+        lists.append(fills[r])
+    return lists[m]
+
+
+@cache
+def first_block_mobius(s: int) -> int:
+    """mu(bottom, top) of NC(s) by the first-block recursion.
+
+    mu(bottom, x) is the product of mu_|B| over the blocks B of x, and these
+    sum to 0 over NC(s) for s >= 2.  Grouped by the block of 1, of size k,
+    the partitions of each gap it leaves sum to 0 unless the gap holds at
+    most one point, so mu_s = -sum of C(k, s - k) mu_k over s/2 <= k < s.
+    Filling the cache in ascending s keeps each call one level deep.
+    """
+    if s == 1:
+        return 1
+    return -sum(math.comb(k, s - k) * first_block_mobius(k) for k in range(s - 1, (s - 1) // 2, -1))
+
+
+def first_block_interval_mobius(p: NCPartition, q: NCPartition) -> int:
+    """mu(p, q) as the product of :func:`first_block_mobius` over the factors
+    NC(s) of [p, q]."""
+    return math.prod(map(first_block_mobius, blockwise_complement(p, q)))
 
 
 # ---------------------------------------------------------------------------

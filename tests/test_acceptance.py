@@ -16,6 +16,7 @@ import noncross.coxeter as cx
 from helpers import (
     bfs_reflection_length,
     budget,
+    first_block_interval_mobius,
     fixed_space,
     lattice_free_mult,
     mobius_walk,
@@ -46,7 +47,6 @@ from noncross import (
     join_nc,
     kreweras,
     meet_nc,
-    mobius_closed,
     mobius_nc,
     moments_to_cumulants,
     nc_set,
@@ -94,7 +94,7 @@ def test_c03_full_interval_mobius_matches_signed_catalan_both_routes():
             expected = (-1) ** (m - 1) * catalan(m - 1)
             assert mobius_nc(bottom(m), top(m)) == expected, m
             assert mobius_walk(bottom(m), top(m)) == expected, m
-            assert mobius_closed(bottom(m), top(m)) == expected, m
+            assert first_block_interval_mobius(bottom(m), top(m)) == expected, m
 
 
 def test_c04_join_counterexample_and_semimodularity_failure():

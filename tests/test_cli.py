@@ -225,7 +225,7 @@ def test_braid_moves_are_transitive_on_the_factorizations_of_c(argv, factorizati
         ("2000", ["--format", "csv", "topo", "chains", "--m", "2000"], "integer of over"),
         ("5000", ["topo", "chains", "--m", "3000"], "integer of over"),
         ("5000", ["nc", "list", "--m", "1200"], "recursion limit"),  # NC(m) nests m frames
-        ("5000", ["nc", "mobius", "--m", "3000"], "recursion limit"),
+        ("5000", ["topo", "euler", "--m", str(caps.ORDER_COMPLEX_M_CAP + 1)], "ORDER_COMPLEX_M_CAP"),
     ],
     ids=lambda a: " ".join(a) if isinstance(a, list) else a,
 )
@@ -241,15 +241,30 @@ def test_raised_cap_results_within_python_limits_exit_0(monkeypatch, capsys):
     assert cli.main(["topo", "chains", "--m", "1000"]) == 0
     assert json.loads(capsys.readouterr().out)["maximal_chains"] == 1000**998
     monkeypatch.setenv("NONCROSS_CAP", "5000")
-    assert cli.main(["nc", "count", "--m", "1500"]) == 0
-    count = noncross.catalan(1500)
-    expected = {"kind": "nc_count", "m": 1500, "count": count, "catalan": count}
-    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
-    monkeypatch.setenv("NONCROSS_CAP", "60")
-    with budget("nc mobius --m 45", 1):  # p(45) block types: a sum over them takes seconds
-        assert cli.main(["nc", "mobius", "--m", "45"]) == 0
+    with budget("nc count, nc mobius and topo euler under NONCROSS_CAP=5000", 2):
+        for m in (330, 1500, 3000, 5000):
+            assert cli.main(["nc", "count", "--m", str(m)]) == 0
+            count = noncross.catalan(m)
+            expected = {"kind": "nc_count", "m": m, "count": count, "catalan": count}
+            assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+        for m in (45, 330, 3000, 5000):
+            assert cli.main(["nc", "mobius", "--m", str(m)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["recursive"] == out["closed_form"] == (-1) ** (m - 1) * noncross.catalan(m - 1)
+            assert out["agree"] is True
+        assert cli.main(["topo", "euler", "--m", "328"]) == 0
         out = json.loads(capsys.readouterr().out)
-    assert out["recursive"] == out["closed_form"] == noncross.catalan(44)
+    assert out["euler_reduced"] == out["mobius"] == -noncross.catalan(327)
+    assert out["agree"] is True
+
+
+def test_a_huge_interval_is_refused_before_quadratic_work(monkeypatch, capsys):
+    monkeypatch.delenv("NONCROSS_CAP", raising=False)
+    singletons = "|".join(map(str, range(1, 20_001)))
+    with budget("nc mobius on 20,000 singletons", 1):
+        assert cli.main(["nc", "mobius", "--p", singletons, "--q", singletons]) == 3
+        out, err = capsys.readouterr()
+    assert out == "" and err.startswith("enumeration over NC(20000) exceeds the cap 12")
 
 
 def test_kreweras_route_ignores_the_enumeration_cap(monkeypatch):

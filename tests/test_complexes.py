@@ -26,6 +26,7 @@ from helpers import (
 from noncross import complexes as X
 from noncross import coxeter as C
 from noncross import partitions as P
+from noncross.caps import ORDER_COMPLEX_M_CAP
 from noncross.errors import FormatError, NotComparable, ResourceCapExceeded
 from noncross.partitions import NCPartition
 
@@ -62,6 +63,20 @@ def test_open_interval_requires_distinct_endpoints():
     p = NCPartition.bottom(3)
     with pytest.raises(NotComparable):
         X.order_complex_open_interval(p, p)
+
+
+def test_open_interval_checks_its_endpoints_then_the_caps(monkeypatch):
+    m = ORDER_COMPLEX_M_CAP + 1
+    bottom, top = NCPartition.bottom(m), NCPartition.top(m)
+    monkeypatch.setenv(P.ENUM_CAP_ENV, str(10 * m))  # the fixed cap holds above it
+    for p, q in ((top, top), (top, bottom)):
+        with pytest.raises(NotComparable):
+            X.order_complex_open_interval(p, q)
+    with pytest.raises(ResourceCapExceeded, match=rf"NC\({m}\) exceeds the fixed cap ORDER_COMPLEX_M_CAP"):
+        X.order_complex_open_interval(bottom, top)
+    monkeypatch.setenv(P.ENUM_CAP_ENV, "12")
+    with pytest.raises(ResourceCapExceeded, match=P.ENUM_CAP_ENV):
+        X.order_complex_open_interval(bottom, top)
 
 
 def test_three_point_full_interval_is_three_isolated_atoms():

@@ -15,6 +15,9 @@ from helpers import (
     blocks_refine,
     brute_join,
     brute_meet,
+    first_block_count,
+    first_block_interval_mobius,
+    first_block_mobius,
     has_crossing_quadruple,
     interval,
     le_matrix,
@@ -22,6 +25,7 @@ from helpers import (
     nc_all,
     relabeled_nc_blocklists,
 )
+from noncross import cli
 from noncross import partitions as P
 from noncross.errors import (
     CrossingPartition,
@@ -126,37 +130,40 @@ def test_noncrossing_test_matches_oracle_on_random_large_partitions():
 @pytest.mark.parametrize("m", range(0, 10))
 def test_enumeration_count_is_catalan(m):
     assert len(nc_all(m)) == CATALAN[m]
-    assert P.count_nc(m) == CATALAN[m]
+    assert first_block_count(m) == P.catalan(m) == CATALAN[m]
 
 
 @pytest.mark.parametrize("m", range(0, 11))
 def test_count_matches_the_streamed_enumeration(m):
-    assert P.count_nc(m) == sum(1 for _ in P.iter_nc(m))
+    assert first_block_count(m) == sum(1 for _ in P.iter_nc(m))
 
 
 def test_count_generates_no_block_list(monkeypatch):
     def refuse(elems):
-        raise AssertionError(f"count_nc generated the block lists over {elems}")
+        raise AssertionError(f"nc count generated the block lists over {elems}")
 
     P._short_blocklists.cache_clear()
     monkeypatch.setattr(P, "_generate", refuse)
-    assert [P.count_nc(m) for m in range(13)] == [P.catalan(m) for m in range(13)]
+    for m in range(13):
+        payload = cli.run(["nc", "count", "--m", str(m)]).payload
+        assert payload["count"] == payload["catalan"] == first_block_count(m)
+
+
+def nc_count_error(m: int) -> str:
+    result = cli.run(["nc", "count", "--m", str(m)])
+    return f"{result.exit_code} {result.payload['error']}"
 
 
 def test_count_checks_m_then_the_cap(monkeypatch):
     for cap in ("-5", "not-a-number"):  # m < 0 is reported before any cap
         monkeypatch.setenv(P.ENUM_CAP_ENV, cap)
-        with pytest.raises(FormatError, match="m must be non-negative"):
-            P.count_nc(-1)
-    with pytest.raises(FormatError, match=P.ENUM_CAP_ENV):
-        P.count_nc(3)
+        assert nc_count_error(-1) == "2 m must be non-negative"
+    assert nc_count_error(3).startswith(f"2 {P.ENUM_CAP_ENV} must be an integer")
     monkeypatch.setenv(P.ENUM_CAP_ENV, "5")
-    assert P.count_nc(5) == 42
-    with pytest.raises(ResourceCapExceeded, match=r"NC\(6\) exceeds the cap 5"):
-        P.count_nc(6)
+    assert cli.run(["nc", "count", "--m", "5"]).payload["count"] == first_block_count(5) == 42
+    assert nc_count_error(6) == f"3 enumeration over NC(6) exceeds the cap 5; raise {P.ENUM_CAP_ENV}"
     monkeypatch.delenv(P.ENUM_CAP_ENV)
-    with pytest.raises(ResourceCapExceeded, match=r"NC\(13\) exceeds the cap 12"):
-        P.count_nc(13)
+    assert nc_count_error(13).startswith("3 enumeration over NC(13) exceeds the cap 12")
 
 
 @pytest.mark.parametrize("m", range(0, 12))
@@ -325,21 +332,22 @@ def test_blockwise_complement_sizes():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_full_interval_mobius_value(m):
-    value = P.mobius_closed(NCPartition.bottom(m), NCPartition.top(m))
+    value = P.mobius_nc(NCPartition.bottom(m), NCPartition.top(m))
     assert value == (-1) ** (m - 1) * P.catalan(m - 1)
 
 
-def test_first_block_recursion_is_the_signed_catalan_number():
-    # Ascending s fills the cache, so each call recurses one level only.
-    for s in range(1, 301):
-        assert P._mobius_full(s) == (-1) ** (s - 1) * P.catalan(s - 1), s
+def test_first_block_recursion_is_the_signed_catalan_number(monkeypatch):
+    monkeypatch.setenv(P.ENUM_CAP_ENV, "300")
+    for s in range(1, 301):  # ascending, so each call recurses one level only
+        closed = P.mobius_nc(NCPartition.bottom(s), NCPartition.top(s))
+        assert first_block_mobius(s) == closed == (-1) ** (s - 1) * P.catalan(s - 1), s
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_mobius_recursion_matches_closed_form_on_all_intervals(m):
     for q in nc_all(m):
         for p in interval(NCPartition.bottom(m), q):
-            assert P.mobius_nc(p, q) == P.mobius_closed(p, q) == mobius_walk(p, q)
+            assert P.mobius_nc(p, q) == first_block_interval_mobius(p, q) == mobius_walk(p, q)
 
 
 def test_mobius_recursion_sums_to_zero_on_proper_intervals():
