@@ -9,10 +9,11 @@ ENUM_CAP_ENV = "NONCROSS_CAP"
 ORDER_COMPLEX_M_CAP = 450
 # freeprob: largest truncation order of the exact series transforms.
 SERIES_ORDER_CAP = 60
-# coxeter: largest context rank per family, and the most reduced
-# factorizations one enumeration may list.
+# coxeter: largest context rank per family, the most reduced factorizations
+# one enumeration may list, and the most elements NC(W, c) may hold.
 DEFAULT_RANK_CAP = {"A": 7, "B": 5, "D": 5}
 FACTORIZATION_COUNT_CAP = 20_000
+NC_SET_COUNT_CAP = 20_000
 # randmat: the Monte Carlo variants and the bounds on one run.
 KINDS = ("product", "power")
 N_CAP = 1024

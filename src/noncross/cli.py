@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from math import log10, sqrt
 from typing import NamedTuple
 
 from . import caps, complexes, coxeter, freeprob, partitions, randmat
@@ -86,6 +87,20 @@ def _pq(args: argparse.Namespace) -> tuple[partitions.NCPartition, partitions.NC
     raise FormatError("give both --p and --q, or --m alone for bottom/top")
 
 
+def _unprintable(limit: int) -> ResourceCapExceeded:
+    return ResourceCapExceeded(f"the result has an integer of over {limit} digits")
+
+
+def _check_printable_catalan(n: int) -> None:
+    """Refuse C_n before computing it when it has more digits than Python
+    prints: log10 C_n >= n log10 4 - log10(2 sqrt(n) (n + 1)), by
+    binom(2n, n) >= 4^n / (2 sqrt(n)), with a digit to spare for rounding.
+    A limit of 0 prints every integer."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n > 0 and n * log10(4) - log10(2 * sqrt(n) * (n + 1)) > limit + 1:
+        raise _unprintable(limit)
+
+
 def _seq_payload(op: str, seq, **extra) -> dict:
     """Render the values of seq, checking each as it arrives: given a lazy
     solve, the command stops at the first value it cannot print."""
@@ -118,6 +133,7 @@ def _seq_payload(op: str, seq, **extra) -> dict:
 
 def _nc_count(args) -> dict:
     partitions._check_m(args.m)
+    _check_printable_catalan(args.m)
     count = partitions.catalan(args.m)
     return {"kind": "nc_count", "m": args.m, "count": count, "catalan": count}
 
@@ -150,6 +166,11 @@ def _nc_op(args) -> dict:
 
 
 def _nc_mobius(args) -> dict:
+    if args.p is None and args.q is None and args.m is not None and args.m >= 1:
+        # mu(bottom, top) of NC(m) is +-C_{m-1}: check it before building
+        # either partition.
+        partitions._check_cap(args.m)
+        _check_printable_catalan(args.m - 1)
     p, q = _pq(args)
     mu = partitions.mobius_nc(p, q)
     return {"kind": "mobius", "p": str(p), "q": str(q), "recursive": mu, "closed_form": mu, "agree": True}
@@ -577,8 +598,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             text = render(result.payload, result.fmt)
         except ValueError:  # an integer past Python's int-to-string limit, like _seq_payload's
-            limit = sys.get_int_max_str_digits()
-            print(f"the result has an integer of over {limit} digits", file=sys.stderr)
+            print(_unprintable(sys.get_int_max_str_digits()), file=sys.stderr)
             return 3
         try:
             print(text, flush=True)

@@ -15,9 +15,9 @@ each step reads its lowering reflections off the signed cycle type (see
 `_lowering`) instead of trying every t in T, so no query builds W itself.
 One walk over the length levels of [1, w] (`_levels`) gives both NC(W, c) and
 the number of reduced factorizations of w, which bounds their enumeration
-before it starts.  The lattice check builds each ideal of NC(W, c) from the
-same cover steps, so only `abs_le`, which decides one given pair, tests the
-length identity.
+before it starts; the same walk stops NC(W, c) at a count of elements.  The
+lattice check builds each ideal of NC(W, c) from the same cover steps, so
+only `abs_le`, which decides one given pair, tests the length identity.
 
 The signed cycle type also decides the remaining classes: Coxeter elements
 (Carter 1972), quasi-Coxeter and parabolic quasi-Coxeter elements
@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import partitions  # a lazy module: only the type A bridge runs it
-from .caps import DEFAULT_RANK_CAP, FACTORIZATION_COUNT_CAP
+from .caps import DEFAULT_RANK_CAP, FACTORIZATION_COUNT_CAP, NC_SET_COUNT_CAP
 from .errors import FormatError, NotBelowCoxeterElement, ResourceCapExceeded
 
 Window = tuple[int, ...]
@@ -251,7 +251,7 @@ def abs_le(ctx: CoxeterContext, u: Window, v: Window) -> bool:
 
 
 def _levels(
-    ctx: CoxeterContext, w: Window, cap: int | None = None
+    ctx: CoxeterContext, w: Window, cap: int | None = None, element_cap: int | None = None
 ) -> Iterator[dict[Window, int]]:
     """The length levels of [1, w] from w down, each as {u: number of
     maximal chains from w down to u}.
@@ -261,11 +261,14 @@ def _levels(
     of it, one length at a time; the last level is {identity: |Red_T(w)|}.
     Every element of [1, w] has a reduced factorization, so the chains
     counted into a level so far bound |Red_T(w)| from below, and the walk
-    stops as soon as they pass cap, before the level is complete.
+    stops as soon as they pass cap, before the level is complete.  Likewise
+    it stops as soon as the elements collected pass element_cap.
     """
     level = {w: 1}
+    collected = 0
     while level:
         yield level
+        collected += len(level)
         below: dict[Window, int] = {}
         total = 0
         for u, chains in level.items():
@@ -279,13 +282,19 @@ def _levels(
             for t in lowering:
                 v = mul(t, u)
                 below[v] = below.get(v, 0) + chains
+            if element_cap is not None and collected + len(below) > element_cap:
+                raise ResourceCapExceeded(
+                    f"interval enumeration capped at {element_cap} elements, "
+                    f"[1, w] has at least {collected + len(below)}"
+                )
         level = below
 
 
 def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
-    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window)."""
+    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window).  The
+    walk over [1, c] refuses more than NC_SET_COUNT_CAP elements."""
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
-    levels = [sorted(level) for level in _levels(ctx, c)]
+    levels = [sorted(level) for level in _levels(ctx, c, element_cap=NC_SET_COUNT_CAP)]
     return [u for lv in reversed(levels) for u in lv]
 
 

@@ -38,20 +38,24 @@ through it.  ``thread_plan`` decides the workers, the helpers and the BLAS
 threads of each worker from the cores this process may use.
 
 Every n x n array a worker touches is allocated once per worker and reused
-by every trial: four complex matrices for the multiply stage (a and three
-spares for W, the powers and the conjugates) and the draw buffers.  Without
-a helper that is one buffer, whose Gaussians pass through the first half of
-a (a is written only after a trial's last draw); with a helper it is
-``DRAW_AHEAD + 1`` = 3 buffers and an n x n float scratch of the helper's
-own.  So a worker holds at most 7.5 complex matrices, 16 n^2 bytes each;
-the cap counts ``MATRICES_PER_WORKER`` = 8.
+by every trial.  The multiply stage works in a pool of three complex
+matrices: each product and conjugate goes to whichever pool buffer no live
+operand occupies.  That covers every k, because from k = 5 on the
+conjugate of a half power no longer needed overwrites it.  Without a helper,
+each Ginibre factor is drawn straight into a free pool buffer, its Gaussians
+passing through the first half of another.  With a helper the factors come
+from a ring of ``DRAW_AHEAD + 1`` = 3 buffers and an n x n float scratch of
+the helper's own, and a product's first factor is copied into the pool
+before the next draw may reuse its ring buffer.  So a worker holds three
+complex matrices, 16 n^2 bytes each, without a helper and 6.5 with one; the
+cap counts ``MATRICES_PER_WORKER`` = 7.
 
 Caps bound one trial's memory and a run's time: n <= 1024 keeps each complex
-matrix at 16 MiB, so a worker holds at most 128 MiB; ell <= 16 and k <= 12
+matrix at 16 MiB, so a worker holds at most 112 MiB; ell <= 16 and k <= 12
 bound a trial to 21 matrix products, and trials <= 10,000 bound the run.
 threads <= 64 bounds the pool, and the joint cap RMT_MEMORY_CAP_MIB bounds
-workers x 8 x 16 n^2 bytes, so 64 workers run only up to n = 512 and 16 at
-n = 1024, never the ~8 GiB that 64 workers would hold there.
+workers x 7 x 16 n^2 bytes, so 64 workers run only up to n = 512 and 18 at
+n = 1024, never the ~7 GiB that 64 workers would hold there.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping
-from contextlib import nullcontext
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._frozen import Frozen
@@ -84,9 +88,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # How many matrices a helper's draw stage may run ahead of its worker.
 DRAW_AHEAD = 2
 # The n x n complex matrices one worker holds at most (module docstring):
-# four for the products, a helper's draw buffers, and its float scratch
-# (half a complex matrix) rounded up to one.
-MATRICES_PER_WORKER = 4 + (DRAW_AHEAD + 1) + 1
+# the pool of three, a helper's draw buffers, and its float scratch (half a
+# complex matrix) rounded up to one.
+MATRICES_PER_WORKER = 3 + (DRAW_AHEAD + 1) + 1
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -151,30 +155,31 @@ def sample_ginibre(
 ) -> np.ndarray:
     """One N x N complex Ginibre matrix with entry variance 1/N, written into
     ``out`` (n x n complex).  The real parts are drawn first, then the
-    imaginary parts, each into ``scratch`` (n x n float).  Either array is
-    allocated when not given."""
+    imaginary parts, each into ``scratch`` (n x n float) and scaled by
+    1/sqrt(2N) as it is written to ``out``.  Either array is allocated when
+    not given."""
     import numpy as np
 
     if out is None:
         out = np.empty((n, n), dtype=complex)
     if scratch is None:
         scratch = np.empty((n, n))
-    out.real[...] = rng.standard_normal(out=scratch)
-    out.imag[...] = rng.standard_normal(out=scratch)
-    return np.divide(out, np.sqrt(2 * n), out=out)
+    scale = 1.0 / np.sqrt(2 * n)
+    np.multiply(rng.standard_normal(out=scratch), scale, out=out.real)
+    np.multiply(rng.standard_normal(out=scratch), scale, out=out.imag)
+    return out
 
 
-def _draws(
-    spec: GinibreSpec, trials: Iterable[int], buffers: int, scratch: np.ndarray
-) -> Iterator[np.ndarray]:
+def _draws(spec: GinibreSpec, trials: Iterable[int]) -> Iterator[np.ndarray]:
     """The draw stage: the Ginibre factors of ``trials`` in order, each from
-    its trial's substream, drawn through ``scratch`` into ``buffers`` reused
-    n x n arrays in turn.  A yielded matrix stays valid until ``buffers``
-    more are asked for."""
+    its trial's substream, drawn through an n x n float scratch into
+    ``DRAW_AHEAD + 1`` reused n x n arrays in turn.  A yielded matrix stays
+    valid until ``DRAW_AHEAD + 1`` more are asked for."""
     import numpy as np
 
     n = spec.n
-    ring = itertools.cycle([np.empty((n, n), dtype=complex) for _ in range(buffers)])
+    ring = itertools.cycle([np.empty((n, n), dtype=complex) for _ in range(DRAW_AHEAD + 1)])
+    scratch = np.empty((n, n))
     factors = spec.ell if spec.kind == "product" else 1
     for trial in trials:
         rng = trial_rng(spec.seed, trial)
@@ -205,35 +210,39 @@ def _matrix_power(g: np.ndarray, ell: int, mul) -> np.ndarray:
     return result
 
 
+def _free(pool: list[np.ndarray], *live: np.ndarray) -> np.ndarray:
+    """The first buffer of ``pool`` that is none of ``live``."""
+    return next(b for b in pool if all(b is not x for x in live))
+
+
 def _trial_moments(
-    spec: GinibreSpec, k_max: int, draws: Iterator[np.ndarray], buffers: list[np.ndarray]
+    spec: GinibreSpec, k_max: int, draw: Callable[..., np.ndarray], pool: list[np.ndarray]
 ) -> np.ndarray:
-    """The multiply stage of one trial: W from the trial's draws, a = W W*
-    in ``buffers[0]``, and tr(a^k) / n for k = 1..k_max.  Every other product
-    and conjugate goes to whichever of the three other buffers no live
-    operand occupies."""
+    """The multiply stage of one trial: W from the factors ``draw(*live)``
+    returns, a = W W*, and tr(a^k) / n for k = 1..k_max.  Every product and
+    conjugate goes to whichever of the three ``pool`` buffers no live operand
+    occupies; ``draw`` is told the live operands, as it may draw into the
+    pool."""
     import numpy as np
 
-    a, *spare = buffers
-
-    def free(*live: np.ndarray) -> np.ndarray:
-        return next(b for b in spare if all(b is not x for x in live))
+    free = partial(_free, pool)
 
     def mul(x: np.ndarray, y: np.ndarray, *live: np.ndarray) -> np.ndarray:
         return np.matmul(x, y, out=free(x, y, *live))
 
-    g = next(draws)
+    g = draw()
     if spec.kind == "power":
         w = _matrix_power(g, spec.ell, mul)
-    elif spec.ell == 1:
-        w = g
     else:
-        # The next draw may reuse g's buffer.
-        w = spare[0]
-        np.copyto(w, g)
+        w = g
+        if spec.ell > 1 and all(g is not b for b in pool):
+            # The helper's next draw may reuse g's ring buffer.
+            w = free()
+            np.copyto(w, g)
         for _ in range(spec.ell - 1):
-            w = mul(w, next(draws))
-    np.matmul(w, np.conjugate(w, out=free(w)).T, out=a)
+            w = mul(w, draw(w))
+    conj_w = np.conjugate(w, out=free(w))
+    a = np.matmul(w, conj_w.T, out=free(w, conj_w))
     out = np.empty(k_max)
     out[0] = np.trace(a).real / spec.n
     low = high = a  # a^floor(k/2), a^ceil(k/2)
@@ -242,7 +251,9 @@ def _trial_moments(
             low, high = high, mul(high, a)
         else:
             low = high
-        conj_low = np.conjugate(low, out=free(low, high))
+        # At odd k >= 5 a^floor(k/2) is needed no more, so its conjugate
+        # overwrites it: a, high and conj_low fill the pool.
+        conj_low = np.conjugate(low, out=low if k % 2 and k >= 5 else free(low, high, a))
         out[k - 1] = np.einsum("ij,ij->", conj_low, high).real / spec.n
     return out
 
@@ -255,16 +266,23 @@ def _rows(spec: GinibreSpec, k_max: int, trials: range, ahead: bool) -> list[np.
     import numpy as np
 
     n = spec.n
-    buffers = [np.empty((n, n), dtype=complex) for _ in range(4)]
-    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
-        if ahead:
-            draws = _ahead(_draws(spec, trials, DRAW_AHEAD + 1, np.empty((n, n))), helper)
-        else:
-            # a = buffers[0] is written only after a trial's last draw, so
-            # the draws borrow its first half as their scratch.
-            scratch = buffers[0].view(float).reshape(-1)[: n * n].reshape(n, n)
-            draws = _draws(spec, trials, 1, scratch)
-        return [_trial_moments(spec, k_max, draws, buffers) for _ in trials]
+    pool = [np.empty((n, n), dtype=complex) for _ in range(3)]
+    if ahead:
+        with ThreadPoolExecutor(1) as helper:
+            factors = _ahead(_draws(spec, trials), helper)
+            return [_trial_moments(spec, k_max, lambda *live: next(factors), pool) for _ in trials]
+
+    def draw_into_pool(rng: np.random.Generator, *live: np.ndarray) -> np.ndarray:
+        # The factor goes to a free buffer, its Gaussians through the first
+        # half of another.
+        out = _free(pool, *live)
+        scratch = _free(pool, out, *live).view(float).reshape(-1)[: n * n].reshape(n, n)
+        return sample_ginibre(n, rng, out, scratch)
+
+    return [
+        _trial_moments(spec, k_max, partial(draw_into_pool, trial_rng(spec.seed, trial)), pool)
+        for trial in trials
+    ]
 
 
 def _nproc() -> int:

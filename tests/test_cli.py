@@ -196,6 +196,18 @@ def test_resource_caps_exit_3(monkeypatch, capsys):
         assert err.count("\n") == 1 and f"capped at {caps.FACTORIZATION_COUNT_CAP} " in err
 
 
+@pytest.mark.parametrize("command", ["nccount", "ncset"])
+def test_a_non_crossing_set_past_its_count_cap_is_refused_promptly(command, capsys):
+    # NC(A14) has C_15 = 9,694,845 elements; the walk below c stops within
+    # its fourth level, once it has collected NC_SET_COUNT_CAP of them.
+    argv = ["cox", command, "--family", "A", "--rank", "14", "--rank-cap", "14"]
+    with budget(" ".join(argv), 0.5):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"capped at {caps.NC_SET_COUNT_CAP} elements" in err
+
+
 @pytest.mark.parametrize(
     "argv, factorizations, seconds",
     [
@@ -256,6 +268,50 @@ def test_raised_cap_results_within_python_limits_exit_0(monkeypatch, capsys):
         out = json.loads(capsys.readouterr().out)
     assert out["euler_reduced"] == out["mobius"] == -noncross.catalan(327)
     assert out["agree"] is True
+
+
+@pytest.mark.parametrize(
+    "argv", [["nc", "count", "--m", "1000000"], ["nc", "mobius", "--m", "200000"]], ids=" ".join
+)
+def test_an_unprintable_catalan_is_refused_before_it_is_computed(argv):
+    # C_1000000 alone takes most of a minute to compute, and mu of NC(200000)
+    # needs both partitions built first; a lower bound on the digits of the
+    # Catalan number refuses either cold in the time Python takes to start.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NONCROSS_CAP": "2000000"}
+    with budget(" ".join(argv) + " exits 3 cold", 0.5):
+        done = subprocess.run(
+            [sys.executable, "-m", "noncross.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+    limit = sys.get_int_max_str_digits()
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == f"the result has an integer of over {limit} digits\n"
+
+
+def test_the_last_printable_catalan_still_prints(monkeypatch, capsys):
+    # Under the default limit of 4,300 digits C_7152 is the last Catalan
+    # number Python prints; C_7153 has 4,301 digits.
+    assert sys.get_int_max_str_digits() == 4300
+    monkeypatch.setenv("NONCROSS_CAP", "10000")
+    last = noncross.catalan(7152)
+    assert cli.main(["nc", "count", "--m", "7152"]) == 0
+    expected = {"kind": "nc_count", "m": 7152, "count": last, "catalan": last}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert cli.main(["nc", "mobius", "--m", "7153"]) == 0
+    top = str(noncross.NCPartition.top(7153))
+    bottom = str(noncross.NCPartition.bottom(7153))
+    expected = {"kind": "mobius", "p": bottom, "q": top, "recursive": last, "closed_form": last, "agree": True}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    for argv in (["nc", "count", "--m", "7153"], ["nc", "mobius", "--m", "7154"]):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", "the result has an integer of over 4300 digits\n")
+    # A limit of 0 prints every integer, so the bound refuses nothing.
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli.main(["nc", "count", "--m", "7200"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == noncross.catalan(7200)
+    finally:
+        sys.set_int_max_str_digits(4300)
 
 
 def test_a_huge_interval_is_refused_before_quadratic_work(monkeypatch, capsys):
@@ -356,11 +412,11 @@ def test_rmt_workers_matrices_over_the_joint_cap_exit_3(monkeypatch, capsys):
         raise AssertionError("sampled past a cap")
 
     monkeypatch.setattr(randmat, "trial_rng", no_sampling)
-    argv = ["rmt", "verify", "--n", str(randmat.N_CAP), "--threads", "17"]
+    argv = ["rmt", "verify", "--n", str(randmat.N_CAP), "--threads", "19"]
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"workers x matrices x n^2 x 16 bytes = 17 x 8 x {randmat.N_CAP}^2 x 16" in err
+    assert f"workers x matrices x n^2 x 16 bytes = 19 x 7 x {randmat.N_CAP}^2 x 16" in err
     assert f"exceeds the cap {caps.RMT_MEMORY_CAP_MIB} MiB" in err
 
 

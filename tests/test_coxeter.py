@@ -37,7 +37,7 @@ from helpers import (
     root_of,
 )
 from noncross import coxeter as C
-from noncross.caps import FACTORIZATION_COUNT_CAP
+from noncross.caps import FACTORIZATION_COUNT_CAP, NC_SET_COUNT_CAP
 from noncross.errors import (
     FormatError,
     NotBelowCoxeterElement,
@@ -289,6 +289,21 @@ def test_noncrossing_counts_match_closed_formulas(family, rk, expected):
         "D": comb(2 * rk, rk) - comb(2 * rk - 2, rk - 1),
     }[family]
     assert count == formula
+
+
+@pytest.mark.parametrize("family,rk,count", [("A", 4, 42), ("B", 3, 20), ("D", 4, 50)])
+def test_nc_set_is_refused_one_element_past_its_count_cap(family, rk, count, monkeypatch):
+    context = ctx(family, rk)
+    monkeypatch.setattr(C, "NC_SET_COUNT_CAP", count)
+    assert len(C.nc_set(context)) == count
+    monkeypatch.setattr(C, "NC_SET_COUNT_CAP", count - 1)
+    with pytest.raises(ResourceCapExceeded, match=f"capped at {count - 1} elements"):
+        C.nc_set(context)
+
+
+def test_nc_set_count_cap_admits_a9():
+    assert NC_SET_COUNT_CAP >= comb(20, 10) // 11 == 16_796
+    assert comb(22, 11) // 12 > NC_SET_COUNT_CAP  # A10's 58,786
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 3), ("D", 4)])

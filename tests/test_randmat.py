@@ -4,6 +4,7 @@ moment targets."""
 
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,12 +45,12 @@ def test_inputs_over_the_caps_are_refused_before_sampling(monkeypatch):
         R.estimate_moments(spec, R.K_CAP + 1)
     with pytest.raises(ResourceCapExceeded):
         R.estimate_moments(spec, 2, threads=R.THREADS_CAP + 1)
-    # The joint cap on the workers' matrices: 16 workers at n = 1024 hold
-    # 16 x 8 x 16 MiB = 2048 MiB, one more worker is refused.
+    # The joint cap on the workers' matrices: 18 workers at n = 1024 hold
+    # 18 x 7 x 16 MiB = 2016 MiB, one more worker is refused.
     big = R.GinibreSpec(**{**base, "n": R.N_CAP, "trials": 50})
-    R._check_memory(big, R.thread_plan(16, big.trials))
-    with pytest.raises(ResourceCapExceeded, match=r"workers x matrices x n\^2 x 16 bytes = 17 x 8"):
-        R.estimate_moments(big, 2, threads=17)
+    R._check_memory(big, R.thread_plan(18, big.trials))
+    with pytest.raises(ResourceCapExceeded, match=r"workers x matrices x n\^2 x 16 bytes = 19 x 7"):
+        R.estimate_moments(big, 2, threads=19)
     # Only the workers that run count: 64 threads on 4 trials are 4 workers.
     R._check_memory(R.GinibreSpec(**{**base, "n": R.N_CAP}), R.thread_plan(R.THREADS_CAP, 4))
 
@@ -135,12 +136,53 @@ def test_half_power_kernel_matches_the_full_power_oracle(kind, ell, n):
     # k = 1 is the same diagonal sum of the same a = W W*, so it is equal
     # exactly; k >= 2 pairs two half powers, which reorders the
     # floating-point sums, so it agrees to a tolerance.
+    # Every k the CLI admits: from k = 5 on the kernel conjugates half
+    # powers in place.
     spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=2, seed=n + 10 * ell)
-    for k_max in range(1, 9):
-        for trial, got in enumerate(R._rows(spec, k_max, range(2), ahead=False)):
-            want = matmul_trial_moments(spec, k_max, trial)
-            assert got[0] == want[0]
-            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+    for k_max in range(1, R.K_CAP + 1):
+        for ahead in (False, True):
+            for trial, got in enumerate(R._rows(spec, k_max, range(2), ahead)):
+                want = matmul_trial_moments(spec, k_max, trial)
+                assert got[0] == want[0]
+                np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+@pytest.mark.parametrize("kind", R.KINDS)
+@pytest.mark.parametrize("ell", [1, 2, 5])
+@pytest.mark.parametrize("k_max", [4, R.K_CAP])
+def test_a_worker_allocates_at_most_its_counted_matrices(k_max, ell, kind, ahead):
+    # tracemalloc sees numpy's array data.  The warm-up call keeps the first
+    # call's imports out of the peak.  Without a helper a worker holds its
+    # pool of three matrices; with one it holds all but half a matrix of
+    # MATRICES_PER_WORKER, so the constant is neither short nor loose.
+    n = 64
+    matrix = 16 * n * n
+    spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=3, seed=ell)
+    R._rows(spec, k_max, range(3), ahead)
+    tracemalloc.start()
+    try:
+        R._rows(spec, k_max, range(3), ahead)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if ahead:
+        assert (R.MATRICES_PER_WORKER - 1) * matrix < peak <= R.MATRICES_PER_WORKER * matrix
+    else:
+        assert peak <= 3 * matrix + matrix // 4
+
+
+def test_draws_are_scaled_as_they_are_written():
+    # Multiplying each part by 1/sqrt(2n) gives the same bits as dividing
+    # the assembled complex matrix by sqrt(2n).
+    for n in (1, 7, 64):
+        drawn = R.sample_ginibre(n, R.trial_rng(n, 0))
+        rng = R.trial_rng(n, 0)
+        want = np.empty((n, n), dtype=complex)
+        want.real = rng.standard_normal((n, n))
+        want.imag = rng.standard_normal((n, n))
+        want /= np.sqrt(2 * n)
+        assert np.array_equal(drawn.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", R.KINDS)
