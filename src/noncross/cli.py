@@ -77,12 +77,17 @@ def _coxeter_element(ctx: coxeter.CoxeterContext, args: argparse.Namespace) -> t
     return c
 
 
-def _pq(args: argparse.Namespace) -> tuple[partitions.NCPartition, partitions.NCPartition]:
+def _pq(args: argparse.Namespace, check_m) -> tuple[partitions.NCPartition, partitions.NCPartition]:
+    """--p and --q, or NC(m)'s bottom and top for --m alone.  For m > 1 the
+    command's caps, check_m(m), run before either partition is built; NC(1)
+    is one point, on which each command's layer decides."""
     if args.p is not None and args.q is not None:
         return _partition(args.p), _partition(args.q)
     if args.m is not None and args.p is None and args.q is None:
         if args.m < 1:
             raise FormatError("--m must be >= 1")
+        if args.m > 1:
+            check_m(args.m)
         return partitions.NCPartition.bottom(args.m), partitions.NCPartition.top(args.m)
     raise FormatError("give both --p and --q, or --m alone for bottom/top")
 
@@ -165,13 +170,14 @@ def _nc_op(args) -> dict:
     return out
 
 
+def _check_mobius_m(m: int) -> None:
+    # mu(bottom, top) of NC(m) is +-C_{m-1}.
+    partitions._check_cap(m)
+    _check_printable_catalan(m - 1)
+
+
 def _nc_mobius(args) -> dict:
-    if args.p is None and args.q is None and args.m is not None and args.m >= 1:
-        # mu(bottom, top) of NC(m) is +-C_{m-1}: check it before building
-        # either partition.
-        partitions._check_cap(args.m)
-        _check_printable_catalan(args.m - 1)
-    p, q = _pq(args)
+    p, q = _pq(args, _check_mobius_m)
     mu = partitions.mobius_nc(p, q)
     return {"kind": "mobius", "p": str(p), "q": str(q), "recursive": mu, "closed_form": mu, "agree": True}
 
@@ -343,7 +349,7 @@ def _cox_dualrel(args) -> dict:
 
 
 def _topo_euler(args) -> dict:
-    p, q = _pq(args)
+    p, q = _pq(args, complexes._check_order_complex_m)
     k = complexes.order_complex_open_interval(p, q)
     euler = complexes.reduced_euler_characteristic(k)
     mob = partitions.mobius_nc(p, q)

@@ -47,6 +47,17 @@ def reduced_euler_characteristic(k: SimplicialComplex) -> int:
     return total
 
 
+def _check_order_complex_m(m: int) -> None:
+    """Refuse an order complex of an interval of NC(m) past the enumeration
+    cap or past the fixed ``ORDER_COMPLEX_M_CAP``, in that order."""
+    _check_cap(m)
+    if m > ORDER_COMPLEX_M_CAP:
+        raise ResourceCapExceeded(
+            f"the order complex of an interval of NC({m}) exceeds the fixed cap "
+            f"ORDER_COMPLEX_M_CAP = {ORDER_COMPLEX_M_CAP}"
+        )
+
+
 def order_complex_open_interval(p: NCPartition, q: NCPartition) -> SimplicialComplex:
     """The order complex of {w : p < w < q}, by its f-vector.
 
@@ -62,12 +73,7 @@ def order_complex_open_interval(p: NCPartition, q: NCPartition) -> SimplicialCom
     if p == q:
         raise NotComparable("open interval needs p strictly below q")
     sizes = blockwise_complement(p, q)
-    _check_cap(q.m)
-    if q.m > ORDER_COMPLEX_M_CAP:
-        raise ResourceCapExceeded(
-            f"the order complex of an interval of NC({q.m}) exceeds the fixed cap "
-            f"ORDER_COMPLEX_M_CAP = {ORDER_COMPLEX_M_CAP}"
-        )
+    _check_order_complex_m(q.m)
     chains: list[int] = []
     for i in range(rank(q) - rank(p) + 1):
         multichains = prod(comb(i * s, s - 1) // s for s in sizes)

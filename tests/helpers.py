@@ -15,7 +15,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 
-from noncross.coxeter import _reflection_length, generated_subgroup, identity, inv, mul
+from noncross.coxeter import (
+    _reflection_length,
+    dual_braid_relations,
+    generated_subgroup,
+    identity,
+    inv,
+    mul,
+)
 from noncross.errors import FormatError
 from noncross.freeprob import MomentSequence
 from noncross.partitions import (
@@ -661,6 +668,15 @@ def dual_braid_relations_by_scan(ctx, c) -> list:
         for t in ctx.reflections
         if s != t and 2 + _reflection_length(mul(inv(mul(s, t)), c)) == lc
     ]
+
+
+def moves_covered_by_scan(ctx, c) -> bool:
+    """Whether every braid move on the reduced factorizations of c rewrites
+    by a dual braid relation: each adjacent pair (a, b) of each
+    factorization, listed by the filtered descent, is an (s, t) of
+    `dual_braid_relations(ctx, c)`."""
+    pairs = {(s, t) for s, t, _ in dual_braid_relations(ctx, c)}
+    return all(f[i : i + 2] in pairs for f in descent_by_filter(ctx, c) for i in range(len(f) - 1))
 
 
 def pairwise_lattice_check(elems: list) -> bool:

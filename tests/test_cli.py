@@ -18,8 +18,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import noncross
-from helpers import budget
-from noncross import caps, cli, randmat
+from helpers import budget, moves_covered_by_scan
+from noncross import caps, cli, coxeter, randmat
 from noncross.caps import SERIES_ORDER_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -225,9 +225,23 @@ def test_braid_moves_are_transitive_on_the_factorizations_of_c(argv, factorizati
         out = json.loads(capsys.readouterr().out)
     assert out["factorizations"] == factorizations
     if out["kind"] == "cox_dualrel":
-        assert out["orbits"] == 1 and out["moves_covered"] is True
+        # The command prints both facts as theorems; the oracles check them.
+        ctx = coxeter.CoxeterContext(out["family"], out["rank"])
+        c = tuple(out["coxeter_element"])
+        assert out["orbits"] == len(coxeter.hurwitz_orbits(ctx, c)) == 1
+        assert out["moves_covered"] is moves_covered_by_scan(ctx, c) is True
     else:
         assert out["orbit_sizes"] == [factorizations] and out["transitive"] is True
+
+
+def test_dual_braid_check_counts_red_t_without_listing_it(capsys):
+    # A6's c has 7^5 = 16,807 reduced factorizations; listing them and
+    # walking their braid orbits takes over a second in-process.
+    argv = ["cox", "dualrel", "--family", "A", "--rank", "6"]
+    with budget(" ".join(argv), 0.3):
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+    assert out["factorizations"] == 7**5 and out["orbits"] == 1 and out["moves_covered"] is True
 
 
 @pytest.mark.parametrize(
@@ -238,13 +252,16 @@ def test_braid_moves_are_transitive_on_the_factorizations_of_c(argv, factorizati
         ("5000", ["topo", "chains", "--m", "3000"], "integer of over"),
         ("5000", ["nc", "list", "--m", "1200"], "recursion limit"),  # NC(m) nests m frames
         ("5000", ["topo", "euler", "--m", str(caps.ORDER_COMPLEX_M_CAP + 1)], "ORDER_COMPLEX_M_CAP"),
+        # Refused before NC(m)'s bottom and top are built.
+        ("2000000", ["topo", "euler", "--m", "1000000"], "ORDER_COMPLEX_M_CAP"),
     ],
     ids=lambda a: " ".join(a) if isinstance(a, list) else a,
 )
 def test_raised_cap_past_what_python_can_hold_exits_3(monkeypatch, capsys, cap, argv, message):
     monkeypatch.setenv("NONCROSS_CAP", cap)
-    assert cli.main(argv) == 3
-    out, err = capsys.readouterr()
+    with budget(" ".join(argv), 0.5):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and message in err
 
 

@@ -29,6 +29,7 @@ from helpers import (
     fixed_space,
     generates_the_group,
     lowering_by_filter,
+    moves_covered_by_scan,
     nc_all,
     nc_scan,
     pairwise_lattice_check,
@@ -642,17 +643,46 @@ def test_dual_braid_relations_on_a2_are_the_three_rotations():
 def test_dual_braid_relations_match_the_pairwise_scan(family, rk):
     context = ctx(family, rk)
     c = context.coxeter_element
-    assert C.dual_braid_relations(context, c) == dual_braid_relations_by_scan(context, c)
+    relations = C.dual_braid_relations(context, c)
+    assert relations == dual_braid_relations_by_scan(context, c)
+    reflections = set(context.reflections)
+    assert all(tp in reflections and C.mul(tp, s) == C.mul(s, t) for s, t, tp in relations)
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3)])
 def test_dual_braid_relations_cover_all_moves(family, rk):
     context = ctx(family, rk)
+    c = context.coxeter_element
     report = C.dual_braid_relation_check(context)
-    assert report["orbits"] == 1
-    assert report["moves_covered"]
+    assert report["orbits"] == len(C.hurwitz_orbits(context, c)) == 1
+    assert report["moves_covered"] is moves_covered_by_scan(context, c) is True
     assert report["relations"] == C.dual_braid_relations(context)
     for s, t, tp in report["relations"]:
         assert C.mul(s, t) == C.mul(tp, s)
         assert tp in set(context.reflections)
         assert C.abs_le(context, C.mul(s, t), context.coxeter_element)
+
+
+@pytest.mark.parametrize("family,rk", [("A", 6), ("B", 5), ("D", 5)])
+def test_dual_braid_check_lists_no_factorization(family, rk, monkeypatch):
+    # The orbit count and the move coverage are theorems at a Coxeter
+    # element; only |Red_T(c)| is counted, on the walk over [1, c].
+    def refuse(*args):
+        raise AssertionError("the dual braid check listed factorizations")
+
+    context = ctx(family, rk)
+    for name in ("_reduced_descent", "red_t_factorizations", "hurwitz_orbits"):
+        monkeypatch.setattr(C, name, refuse)
+    report = C.dual_braid_relation_check(context)
+    assert report["factorizations"] == chain_count(context, context.coxeter_element)
+    assert report["orbits"] == 1 and report["moves_covered"] is True
+    assert report["relations"] == C.dual_braid_relations(context)
+
+
+def test_dual_braid_check_refuses_an_element_that_is_not_coxeter():
+    context = ctx("A", 3)
+    with pytest.raises(FormatError, match="not a Coxeter element"):
+        C.dual_braid_relation_check(context, (2, 1, 3, 4))
+    other = (3, 1, 4, 2)  # the 4-cycle 1 -> 3 -> 4 -> 2, not the c of the context
+    assert C.is_coxeter_element(context, other) and other != context.coxeter_element
+    assert C.dual_braid_relation_check(context, other)["factorizations"] == 16
