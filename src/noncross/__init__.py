@@ -42,8 +42,8 @@ _EXPORTS = {
     "coxeter": (
         "CoxeterContext", "ReflectionFactorization", "absolute_length", "abs_le",
         "duality", "hurwitz_orbits", "is_coxeter_element",
-        "is_parabolic_quasi_coxeter", "is_quasi_coxeter", "nc_lattice_check",
-        "nc_set", "partition_to_permutation", "permutation_to_partition",
+        "is_parabolic_quasi_coxeter", "is_quasi_coxeter", "nc_set",
+        "partition_to_permutation", "permutation_to_partition",
         "red_t_factorizations",
     ),
     "complexes": (

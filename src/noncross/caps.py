@@ -9,9 +9,13 @@ ENUM_CAP_ENV = "NONCROSS_CAP"
 ORDER_COMPLEX_M_CAP = 450
 # freeprob: largest truncation order of the exact series transforms.
 SERIES_ORDER_CAP = 60
-# coxeter: largest context rank per family, the most reduced factorizations
-# one enumeration may list, and the most elements NC(W, c) may hold.
+# coxeter: largest context rank per family, the fixed ceiling that no
+# --rank-cap raises past (a context holds O(rank^3) integers: B200 builds in
+# 0.27 s at 90 MB peak RSS, B250 in 0.57 s at 158 MB, against a budget of
+# 0.5 s and 128 MB), the most reduced factorizations one enumeration may
+# list, and the most elements NC(W, c) may hold.
 DEFAULT_RANK_CAP = {"A": 7, "B": 5, "D": 5}
+RANK_CAP_CEILING = 200
 FACTORIZATION_COUNT_CAP = 20_000
 NC_SET_COUNT_CAP = 20_000
 # randmat: the Monte Carlo variants and the bounds on one run.

@@ -13,12 +13,14 @@ minus the cycles of |w| with an even number of sign changes.  NC(W, c) and the
 reduced factorizations are walked down from c one reflection at a time, and
 each step reads its lowering reflections off the signed cycle type (see
 `_lowering`) instead of trying every t in T, so no query builds W itself.
-One walk over the length levels of [1, w] (`_levels`) gives both NC(W, c) and
-the number of reduced factorizations of w, which bounds their enumeration
-before it starts and is all the dual braid check counts; the same walk stops
-NC(W, c) at a count of elements.  The lattice check builds each ideal of
-NC(W, c) from the same cover steps, so only `abs_le`, which decides one given
-pair, tests the length identity.
+One walk over the length levels of [1, w] (`_levels`) lists NC(W, c) and
+counts the reduced factorizations of an arbitrary w, which bounds their
+enumeration before it starts.  At a Coxeter element the numbers are
+theorems read off the degrees of W (`invariants`): |NC(W, c)| = Cat(W) and
+|Red_T(c)| = n! h^n / |W|, and NC(W, c) is a lattice (Bessis 2003, "The dual
+braid monoid"; Brady and Watt 2008), so counting NC(W, c), its lattice flag
+and the dual braid check walk nothing.  Only `abs_le`, which decides one
+given pair, tests the length identity.
 
 The signed cycle type also decides the remaining classes: Coxeter elements
 (Carter 1972), quasi-Coxeter and parabolic quasi-Coxeter elements
@@ -31,10 +33,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import partitions  # a lazy module: only the type A bridge runs it
-from .caps import DEFAULT_RANK_CAP, FACTORIZATION_COUNT_CAP, NC_SET_COUNT_CAP
+from .caps import DEFAULT_RANK_CAP, FACTORIZATION_COUNT_CAP, NC_SET_COUNT_CAP, RANK_CAP_CEILING
 from .errors import FormatError, NotBelowCoxeterElement, ResourceCapExceeded
 
 Window = tuple[int, ...]
@@ -83,6 +86,8 @@ class CoxeterContext:
             raise ResourceCapExceeded(
                 f"rank {rank} exceeds the cap {cap} for family {family}"
             )
+        if rank > RANK_CAP_CEILING:  # before any reflection is built
+            raise ResourceCapExceeded(f"rank {rank} exceeds the ceiling {RANK_CAP_CEILING} that no rank cap raises")
         self.family = family
         self.rank = rank
         self.n = rank + 1 if family == "A" else rank
@@ -251,9 +256,7 @@ def abs_le(ctx: CoxeterContext, u: Window, v: Window) -> bool:
     return _reflection_length(u) + _reflection_length(mul(inv(u), v)) == _reflection_length(v)
 
 
-def _levels(
-    ctx: CoxeterContext, w: Window, cap: int | None = None, element_cap: int | None = None
-) -> Iterator[dict[Window, int]]:
+def _levels(ctx: CoxeterContext, w: Window, cap: int | None = None) -> Iterator[dict[Window, int]]:
     """The length levels of [1, w] from w down, each as {u: number of
     maximal chains from w down to u}.
 
@@ -262,14 +265,11 @@ def _levels(
     of it, one length at a time; the last level is {identity: |Red_T(w)|}.
     Every element of [1, w] has a reduced factorization, so the chains
     counted into a level so far bound |Red_T(w)| from below, and the walk
-    stops as soon as they pass cap, before the level is complete.  Likewise
-    it stops as soon as the elements collected pass element_cap.
+    stops as soon as they pass cap, before the level is complete.
     """
     level = {w: 1}
-    collected = 0
     while level:
         yield level
-        collected += len(level)
         below: dict[Window, int] = {}
         total = 0
         for u, chains in level.items():
@@ -283,19 +283,49 @@ def _levels(
             for t in lowering:
                 v = mul(t, u)
                 below[v] = below.get(v, 0) + chains
-            if element_cap is not None and collected + len(below) > element_cap:
-                raise ResourceCapExceeded(
-                    f"interval enumeration capped at {element_cap} elements, "
-                    f"[1, w] has at least {collected + len(below)}"
-                )
         level = below
 
 
-def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
-    """NC(W, c) = {u : u <= c}, sorted by (reflection length, window).  The
-    walk over [1, c] refuses more than NC_SET_COUNT_CAP elements."""
+class Invariants(NamedTuple):
+    """Numbers of W read off its degrees (see `invariants`)."""
+
+    coxeter_number: int  # h, the largest degree
+    order: int  # |W|
+    catalan: int  # Cat(W) = |NC(W, c)|
+    red_t: int  # |Red_T(c)| at a Coxeter element c
+
+
+def invariants(ctx: CoxeterContext) -> Invariants:
+    """h, |W| = prod d_i, Cat(W) = prod (h + d_i) / d_i and n! h^n / |W| from
+    the degrees d_1, ..., d_n of W: 2, ..., n + 1 in type A_n, 2, 4, ..., 2n
+    in B_n, and 2, 4, ..., 2n - 2 and n in D_n.  Cat(W) is |NC(W, c)| and
+    n! h^n / |W| is |Red_T(c)| for every Coxeter element c (Bessis 2003)."""
+    n = ctx.rank
+    degrees = {"A": range(2, n + 2), "B": range(2, 2 * n + 1, 2), "D": [*range(2, 2 * n - 1, 2), n]}[ctx.family]
+    h, order = max(degrees), prod(degrees)
+    return Invariants(h, order, prod(h + d for d in degrees) // order, factorial(n) * h**n // order)
+
+
+def require_coxeter_element(ctx: CoxeterContext, c: Window | None = None) -> Window:
+    """c, or the context's Coxeter element for None; FormatError unless it is
+    a Coxeter element."""
     c = ctx.coxeter_element if c is None else ctx.check_element(c)
-    levels = [sorted(level) for level in _levels(ctx, c, element_cap=NC_SET_COUNT_CAP)]
+    if not is_coxeter_element(ctx, c):
+        raise FormatError(f"{list(c)} is not a Coxeter element of {ctx.family}_{ctx.rank}")
+    return c
+
+
+def nc_set(ctx: CoxeterContext, c: Window | None = None) -> list[Window]:
+    """NC(W, c) = {u : u <= c} at a Coxeter element c, sorted by (reflection
+    length, window).  It holds Cat(W) elements, so past NC_SET_COUNT_CAP it
+    is refused before the walk over [1, c] starts; any other c raises
+    FormatError, since [1, w] can be larger (all 32,400 involutions of B8
+    lie below -1, against Cat(B8) = 12,870)."""
+    c = require_coxeter_element(ctx, c)
+    count = invariants(ctx).catalan
+    if count > NC_SET_COUNT_CAP:
+        raise ResourceCapExceeded(f"interval enumeration capped at {NC_SET_COUNT_CAP} elements, NC(W, c) has {count}")
+    levels = [sorted(level) for level in _levels(ctx, c)]
     return [u for lv in reversed(levels) for u in lv]
 
 
@@ -320,8 +350,8 @@ def red_t_factorizations(ctx: CoxeterContext, w: Window) -> list[ReflectionFacto
 def _red_t_count(ctx: CoxeterContext, w: Window) -> int:
     """|Red_T(w)|, read off the last level of the count walk over [1, w],
     {identity: |Red_T(w)|}.  The walk refuses more than
-    FACTORIZATION_COUNT_CAP factorizations, so every enumeration runs it
-    first as its guard."""
+    FACTORIZATION_COUNT_CAP factorizations, so every enumeration of an
+    arbitrary w runs it first as its guard."""
     *_, last = _levels(ctx, w, FACTORIZATION_COUNT_CAP)
     return last[identity(ctx.n)]
 
@@ -448,37 +478,6 @@ def generated_subgroup(ctx: CoxeterContext, gens: list[Window]) -> frozenset[Win
     return frozenset(_closure([identity(ctx.n), *gens], lambda x: (mul(x, g) for g in gens)))
 
 
-def nc_lattice_check(ctx: CoxeterContext, elems: list[Window]) -> bool:
-    """Exhaustively verify that elems, NC(W, c) as `nc_set` returns it or a
-    subset of it, is a lattice under the absolute order: it has a top and
-    every pair has a meet.
-
-    The ideal of v is the bitset of the u in elems with u <= v: v's own bit
-    OR the ideals of the t v it covers, t in `_lowering(v)`, memoised over
-    the down-sets of elems.  The common lower bounds of x and y are the AND
-    of their ideals, and x and y have a meet z exactly when that AND is the
-    ideal of z; likewise a top is an element whose ideal is everything.  In
-    a finite poset with a top that suffices, since the join of x and y is
-    the meet of their common upper bounds.
-    """
-    index = {u: k for k, u in enumerate(elems)}
-    memo: dict[Window, int] = {}
-
-    def ideal(v: Window) -> int:
-        if v not in memo:
-            bits = 1 << index[v] if v in index else 0
-            for t in _lowering(ctx, v):
-                bits |= ideal(mul(t, v))
-            memo[v] = bits
-        return memo[v]
-
-    ideals = [ideal(v) for v in elems]
-    known = set(ideals)
-    if (1 << len(elems)) - 1 not in known:
-        return False
-    return all(a & b in known for i, a in enumerate(ideals) for b in ideals[i + 1 :])
-
-
 # ---------------------------------------------------------------------------
 # Type A bridge to non-crossing partitions.
 
@@ -527,9 +526,10 @@ def dual_braid_relation_check(ctx: CoxeterContext, c: Window | None = None) -> d
 
     Returns a report with the relations themselves, the factorization count,
     the orbit count (1 means the braid moves connect everything) and whether
-    every move rewrites by one of the relations.  Only the relations and
-    |Red_T(c)|, off the count walk and under its cap, are computed; the
-    other two fields are theorems, so nothing is enumerated:
+    every move rewrites by one of the relations.  Only the relations are
+    computed, after |Red_T(c)| = n! h^n / |W| (`invariants`) is checked
+    against FACTORIZATION_COUNT_CAP; the other two fields are theorems, so
+    nothing is enumerated or walked:
     - one orbit: the Hurwitz action on Red_T(c) is transitive for every
       Coxeter element c (Bessis 2003, "The dual braid monoid");
     - moves covered: if t_1 ... t_n = c is reduced, then
@@ -537,12 +537,16 @@ def dual_braid_relation_check(ctx: CoxeterContext, c: Window | None = None) -> d
       x^{-1} y <= y (its complement y^{-1} x y is a conjugate of x), so
       every adjacent pair has t_i t_{i+1} = x^{-1} y <= c and is one of
       the relations.
-    tests/helpers.py keeps the orbit walk and the pairwise scan as oracles.
+    The tests check the count against the walk over [1, c], and the two
+    theorems against the orbit walk and the pairwise scan of
+    tests/helpers.py.
     """
-    c = ctx.coxeter_element if c is None else ctx.check_element(c)
-    if not is_coxeter_element(ctx, c):
-        raise FormatError(f"{list(c)} is not a Coxeter element of {ctx.family}_{ctx.rank}")
-    factorizations = _red_t_count(ctx, c)  # first: it holds the count cap
+    c = require_coxeter_element(ctx, c)
+    factorizations = invariants(ctx).red_t
+    if factorizations > FACTORIZATION_COUNT_CAP:
+        raise ResourceCapExceeded(
+            f"factorization count capped at {FACTORIZATION_COUNT_CAP} factorizations, c has {factorizations}"
+        )
     return {
         "relations": dual_braid_relations(ctx, c),
         "factorizations": factorizations,

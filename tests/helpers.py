@@ -16,6 +16,7 @@ from functools import cache
 from itertools import chain, combinations, product
 
 from noncross.coxeter import (
+    _lowering,
     _reflection_length,
     dual_braid_relations,
     generated_subgroup,
@@ -700,6 +701,37 @@ def pairwise_lattice_check(elems: list) -> bool:
             if not any(all(le[x][z] for x in lower) for z in lower):
                 return False
     return True
+
+
+def nc_lattice_check(ctx, elems: list) -> bool:
+    """Whether elems, NC(W, c) as `nc_set` returns it or a subset of it, is a
+    lattice under the absolute order: it has a top and every pair has a
+    meet.  The CLI prints the flag as a theorem; this decides it.
+
+    The ideal of v is the bitset of the u in elems with u <= v: v's own bit
+    OR the ideals of the t v it covers, t in `_lowering(v)`, memoised over
+    the down-sets of elems.  The common lower bounds of x and y are the AND
+    of their ideals, and x and y have a meet z exactly when that AND is the
+    ideal of z; likewise a top is an element whose ideal is everything.  In
+    a finite poset with a top that suffices, since the join of x and y is
+    the meet of their common upper bounds.
+    """
+    index = {u: k for k, u in enumerate(elems)}
+    memo: dict = {}
+
+    def ideal(v) -> int:
+        if v not in memo:
+            bits = 1 << index[v] if v in index else 0
+            for t in _lowering(ctx, v):
+                bits |= ideal(mul(t, v))
+            memo[v] = bits
+        return memo[v]
+
+    ideals = [ideal(v) for v in elems]
+    known = set(ideals)
+    if (1 << len(elems)) - 1 not in known:
+        return False
+    return all(a & b in known for i, a in enumerate(ideals) for b in ideals[i + 1 :])
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

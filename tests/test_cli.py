@@ -18,7 +18,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import noncross
-from helpers import budget, moves_covered_by_scan
+from helpers import budget, moves_covered_by_scan, nc_lattice_check
 from noncross import caps, cli, coxeter, randmat
 from noncross.caps import SERIES_ORDER_CAP
 
@@ -179,8 +179,9 @@ def test_resource_caps_exit_3(monkeypatch, capsys):
     assert cli.run(["cox", "ncset", "--family", "A", "--rank", "8"]).exit_code == 3
     capsys.readouterr()
     # A7's c has 262,144 reduced factorizations.  Under a raised rank cap the
-    # count walk stops inside a level: A60's second level counts 2.2 million
-    # chains, and the walk stops after about a dozen of its parents.
+    # count walk of redt stops inside a level: A12's second level counts
+    # millions of chains, and the walk stops after a few of its parents;
+    # dualrel refuses off the closed count n! h^n / |W| and walks nothing.
     for argv in (
         ["cox", "redt", "--family", "A", "--rank", "7"],
         ["cox", "hurwitz", "--family", "A", "--rank", "7"],
@@ -196,16 +197,40 @@ def test_resource_caps_exit_3(monkeypatch, capsys):
         assert err.count("\n") == 1 and f"capped at {caps.FACTORIZATION_COUNT_CAP} " in err
 
 
-@pytest.mark.parametrize("command", ["nccount", "ncset"])
+@pytest.mark.parametrize("command", ["ncset"])
 def test_a_non_crossing_set_past_its_count_cap_is_refused_promptly(command, capsys):
-    # NC(A14) has C_15 = 9,694,845 elements; the walk below c stops within
-    # its fourth level, once it has collected NC_SET_COUNT_CAP of them.
+    # NC(A14) has Cat(A14) = C_15 = 9,694,845 elements; the closed count
+    # refuses it before the walk below c starts.
     argv = ["cox", command, "--family", "A", "--rank", "14", "--rank-cap", "14"]
     with budget(" ".join(argv), 0.5):
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert f"capped at {caps.NC_SET_COUNT_CAP} elements" in err
+    assert f"capped at {caps.NC_SET_COUNT_CAP} elements" in err and "has 9694845" in err
+
+
+def test_nc_count_past_the_set_cap_prints_the_catalan_number_promptly(capsys):
+    # nccount builds no element: Cat(A60) = C_61 and the lattice flag are
+    # theorems, so a raised rank cap costs only the context.
+    argv = ["cox", "nccount", "--family", "A", "--rank", "60", "--rank-cap", "60", "--lattice"]
+    with budget(" ".join(argv), 0.2):
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+    assert out["count"] == noncross.catalan(61) > caps.NC_SET_COUNT_CAP
+    assert out["lattice_check"] is True
+
+
+def test_a_rank_past_the_ceiling_is_refused_before_any_reflection_is_built(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a context past the ceiling was built")
+
+    monkeypatch.setattr(coxeter.CoxeterContext, "_build_reflections", refuse)
+    rank = caps.RANK_CAP_CEILING + 1
+    for command in ("quasicox", "redt", "nccount"):
+        argv = ["cox", command, "--family", "B", "--rank", str(rank), "--rank-cap", "2000"]
+        assert cli.main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"rank {rank} exceeds the ceiling {caps.RANK_CAP_CEILING} that no rank cap raises\n"
 
 
 @pytest.mark.parametrize(
@@ -375,11 +400,14 @@ def test_interval_commands_at_the_cap_enumerate_nothing():
 
 
 def test_lattice_check_at_the_rank_cap_walks_covers(capsys):
-    # A pairwise absolute-order test over these 1,430 elements takes seconds.
+    # The command prints the flag as a theorem; the oracle decides it on the
+    # 1,430 elements by walking their covers (a pairwise absolute-order test
+    # takes seconds).
     with budget("cox nccount --family A --rank 7 --lattice", 1):
         assert cli.main(["cox", "nccount", "--family", "A", "--rank", "7", "--lattice"]) == 0
         out = json.loads(capsys.readouterr().out)
-    assert out["count"] == 1430 and out["lattice_check"] is True
+    ctx = coxeter.CoxeterContext("A", 7)
+    assert out["count"] == 1430 and out["lattice_check"] is nc_lattice_check(ctx, coxeter.nc_set(ctx)) is True
 
 
 @pytest.mark.parametrize("command", ["ncset", "nccount", "dualrel"])

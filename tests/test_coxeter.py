@@ -19,6 +19,7 @@ from math import comb, factorial
 
 import pytest
 
+import helpers
 from helpers import (
     apply_to_vector,
     bfs_reflection_length,
@@ -31,6 +32,7 @@ from helpers import (
     lowering_by_filter,
     moves_covered_by_scan,
     nc_all,
+    nc_lattice_check,
     nc_scan,
     pairwise_lattice_check,
     pointwise_stabilizer,
@@ -218,8 +220,7 @@ def test_lowering_reflections_read_off_the_cycle_type_match_the_filter_over_t(fa
 def test_walks_multiply_once_per_cover_step(monkeypatch):
     # A scan over T would form one trial product per reflection and step.
     # Each step of the descent is one edge of its tree: one nonempty prefix;
-    # the count walk before it multiplies once per cover of [1, c], as does
-    # the lattice check building its ideals (a pairwise length test makes 65,241).
+    # the count walk before it multiplies once per cover of [1, c].
     a6, b4 = ctx("A", 6), ctx("B", 4)
     covers = {cx: sum(len(lowering_by_filter(cx, u)) for u in C.nc_set(cx)) for cx in (a6, b4)}
     steps = len({f[:k] for f in descent_by_filter(b4, b4.coxeter_element) for k in range(1, len(f) + 1)})
@@ -231,11 +232,8 @@ def test_walks_multiply_once_per_cover_step(monkeypatch):
         return mul(u, v)
 
     monkeypatch.setattr(C, "mul", counting_mul)
-    elems = C.nc_set(a6)
+    C.nc_set(a6)
     assert calls == covers[a6] == 2002
-    calls = 0
-    assert C.nc_lattice_check(a6, elems)
-    assert calls == covers[a6]
     calls = 0
     C.red_t_factorizations(b4, b4.coxeter_element)
     assert calls == covers[b4] + steps
@@ -307,6 +305,17 @@ def test_nc_set_count_cap_admits_a9():
     assert comb(22, 11) // 12 > NC_SET_COUNT_CAP  # A10's 58,786
 
 
+def test_nc_set_refuses_an_element_that_is_not_coxeter():
+    # Cat(W) bounds [1, c] only at a Coxeter element: below -1 lie all the
+    # involutions, 20 in B3 and 76 in B4, against Cat(B4) = 70.
+    context = ctx("B", 3)
+    minus = (-1, -2, -3)
+    assert sum(map(len, C._levels(context, minus))) == 20
+    assert sum(map(len, C._levels(ctx("B", 4), (-1, -2, -3, -4)))) == 76 > C.invariants(ctx("B", 4)).catalan
+    with pytest.raises(FormatError, match=r"\[-1, -2, -3\] is not a Coxeter element of B_3"):
+        C.nc_set(context, minus)
+
+
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 3), ("D", 4)])
 def test_duality_reverses_the_order_below_c(family, rk):
     context = ctx(family, rk)
@@ -327,10 +336,23 @@ def test_duality_reverses_the_order_below_c(family, rk):
         )
 
 
-@pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3), ("D", 4)])
-def test_nc_lattice_check(family, rk):
+@pytest.mark.parametrize("family,rk", [("A", 3), ("A", 6), ("B", 2), ("B", 3), ("D", 4)])
+def test_nc_lattice_check(family, rk, monkeypatch):
+    # The oracle builds each ideal from the cover steps: one product per
+    # cover of [1, c] (a pairwise length test on A6 makes 65,241).
     context = ctx(family, rk)
-    assert C.nc_lattice_check(context, C.nc_set(context))
+    elems = C.nc_set(context)
+    covers = sum(len(lowering_by_filter(context, u)) for u in elems)
+    calls, mul = 0, helpers.mul
+
+    def counting_mul(u, v):
+        nonlocal calls
+        calls += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(helpers, "mul", counting_mul)
+    assert nc_lattice_check(context, elems)
+    assert calls == covers
 
 
 def test_nc_lattice_check_agrees_with_the_pairwise_oracle():
@@ -341,10 +363,10 @@ def test_nc_lattice_check_agrees_with_the_pairwise_oracle():
         for rk in ranks:
             context = ctx(family, rk)
             elems = C.nc_set(context)
-            assert C.nc_lattice_check(context, elems) and pairwise_lattice_check(elems)
+            assert nc_lattice_check(context, elems) and pairwise_lattice_check(elems)
             for k in range(len(elems)):
                 rest = elems[:k] + elems[k + 1 :]
-                verdict = C.nc_lattice_check(context, rest)
+                verdict = nc_lattice_check(context, rest)
                 assert verdict == pairwise_lattice_check(rest), (family, rk, k)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -381,19 +403,31 @@ def chain_count(context: C.CoxeterContext, w) -> int:
 
 @pytest.mark.parametrize(
     "family,rk",
-    [*(("A", rk) for rk in range(1, 8)), *(("B", rk) for rk in range(2, 7)), *(("D", rk) for rk in range(4, 7))],
+    [*(("A", rk) for rk in range(1, 10)), *(("B", rk) for rk in range(2, 9)), *(("D", rk) for rk in range(2, 8))],
 )
 def test_factorization_count_is_bessis_closed_form(family, rk):
-    # |Red_T(c)| = n! h^n / |W| (Bessis 2003).
+    # |Red_T(c)| = n! h^n / |W| (Bessis 2003) and |NC(W, c)| = Cat(W), read
+    # off the degrees, against the walks over [1, c] and the binomial
+    # formulas; the dual braid check refuses exactly where the closed count
+    # passes the cap, as the count walk does.
     context = C.CoxeterContext(family, rk, rank_cap=rk)
+    c = context.coxeter_element
     letters = context.n
-    h, order = {
-        "A": (letters, factorial(letters)),
-        "B": (2 * letters, 2**letters * factorial(letters)),
-        "D": (2 * letters - 2, 2 ** (letters - 1) * factorial(letters)),
+    h, order, catalan = {
+        "A": (letters, factorial(letters), comb(2 * letters, letters) // (letters + 1)),
+        "B": (2 * letters, 2**letters * factorial(letters), comb(2 * rk, rk)),
+        "D": (2 * letters - 2, 2 ** (letters - 1) * factorial(letters), comb(2 * rk, rk) - comb(2 * rk - 2, rk - 1)),
     }[family]
-    expected = Fraction(factorial(rk) * h**rk, order)
-    assert chain_count(context, context.coxeter_element) == expected
+    closed = C.invariants(context)
+    assert closed.coxeter_number == h and closed.order == order
+    assert closed.catalan == catalan == len(C.nc_set(context))
+    assert closed.red_t == Fraction(factorial(rk) * h**rk, order) == chain_count(context, c)
+    if closed.red_t > FACTORIZATION_COUNT_CAP:
+        for check in (C._red_t_count, C.dual_braid_relation_check):
+            with pytest.raises(ResourceCapExceeded, match=f"capped at {FACTORIZATION_COUNT_CAP} factorizations"):
+                check(context, c)
+    else:
+        assert C._red_t_count(context, c) == C.dual_braid_relation_check(context, c)["factorizations"] == closed.red_t
 
 
 @pytest.mark.parametrize("family", ["B", "D"])
