@@ -10,10 +10,13 @@ ORDER_COMPLEX_M_CAP = 450
 # freeprob: largest truncation order of the exact series transforms.
 SERIES_ORDER_CAP = 60
 # coxeter: largest context rank per family, the fixed ceiling that no
-# --rank-cap raises past (a context holds O(rank^3) integers: B200 builds in
-# 0.27 s at 90 MB peak RSS, B250 in 0.57 s at 158 MB, against a budget of
-# 0.5 s and 128 MB), the most reduced factorizations one enumeration may
-# list, and the most elements NC(W, c) may hold.
+# --rank-cap raises past, the most reduced factorizations one enumeration may
+# list, and the most elements NC(W, c) may hold.  A context holds O(rank)
+# windows, but the first step down from an element that moves every letter
+# builds each reflection that lowers it, up to |T| windows of n letters: at
+# the Coxeter element of B200 (all 40,000 of T) a cold `cox redt` refuses in
+# 0.24 s at 79 MB peak RSS, and the same step at B250 takes 0.37 s at 139 MB
+# in-process, against a budget of 0.5 s and 128 MB on a two-core VM.
 DEFAULT_RANK_CAP = {"A": 7, "B": 5, "D": 5}
 RANK_CAP_CEILING = 200
 FACTORIZATION_COUNT_CAP = 20_000

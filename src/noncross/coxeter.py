@@ -12,7 +12,9 @@ Reflection length is Carter's closed form l_T(w) = codim Fix(w): the letters
 minus the cycles of |w| with an even number of sign changes.  NC(W, c) and the
 reduced factorizations are walked down from c one reflection at a time, and
 each step reads its lowering reflections off the signed cycle type (see
-`_lowering`) instead of trying every t in T, so no query builds W itself.
+`_lowering`), trying only the reflections on the letters the element moves
+instead of every t in T, so no query builds W itself, and none but printing
+names builds T.
 One walk over the length levels of [1, w] (`_levels`) lists NC(W, c) and
 counts the reduced factorizations of an arbitrary w, which bounds their
 enumeration before it starts.  At a Coxeter element the numbers are
@@ -63,12 +65,13 @@ def identity(n: int) -> Window:
 
 
 class CoxeterContext:
-    """A reflection group of type A, B or D, described by its reflections.
-
-    The context is immutable after construction: reflection set with
-    names, the simple reflections and the default Coxeter element
-    (product of the simple reflections in order).  Nothing of size |W| is
-    built; `elements` generates the group from the simples on first use.
+    """A reflection group of type A, B or D: its letters, the simple
+    reflections and the default Coxeter element (product of the simple
+    reflections in order), O(rank) windows in all.  A reflection is a rule
+    over a pair of letters (`_letter_pairs`, `_reflection`), so no query
+    needs the table of T: `reflections` and `name_of` build it on first
+    read, for printed names and the tests.  Nothing of size |W| is built;
+    `elements` generates the group from the simples on first use.
     Only tests read `elements`, `order` and `generated_subgroup`, but they
     stay here: the benchmark's tracer reads `ctx.elements` and `ctx.order`
     in its hooks on this constructor and on `nc_set`, so every traced `cox`
@@ -90,53 +93,30 @@ class CoxeterContext:
             raise ResourceCapExceeded(f"rank {rank} exceeds the ceiling {RANK_CAP_CEILING} that no rank cap raises")
         self.family = family
         self.rank = rank
-        self.n = rank + 1 if family == "A" else rank
-        letters = range(1, self.n + 1)
+        self.n = n = rank + 1 if family == "A" else rank
+        letters = range(1, n + 1)
         self._letters = frozenset(letters if family == "A" else [*letters, *(-i for i in letters)])
 
-        self._build_reflections()
-        self._build_simples()
-        self.coxeter_element = identity(self.n)
+        # t(1) in B and t(1,2,-) in D ahead of the t(i,i+1,+).
+        first = {"A": [], "B": [(0, -1, -1)], "D": [(0, 1, -1)]}[family]
+        self.simples = tuple(_reflection(n, *t) for t in [*first, *((i, i + 1, 1) for i in range(n - 1))])
+        self.coxeter_element = identity(n)
         for s in self.simples:
             self.coxeter_element = mul(self.coxeter_element, s)
 
-    # -- construction ------------------------------------------------------
+    @cached_property
+    def name_of(self) -> dict[Window, str]:
+        """Every reflection with its printed name, in reflection order; built
+        on first read, since only printing names and the tests need all of T."""
+        return {
+            _reflection(self.n, i, j, sign): f"t({i + 1})" if j < 0 else f"t({i + 1},{j + 1},{'+-'[sign < 0]})"
+            for i, j, sign in _letter_pairs(self.family, range(self.n))
+        }
 
-    def _build_reflections(self) -> None:
-        n = self.n
-        # (window, name, i, j, sign) on 0-based letters, j = -1 for t(i).
-        refl: list[tuple[Window, str, int, int, int]] = []
-
-        def add(i: int, j: int, sign: int, name: str) -> None:
-            w = list(identity(n))
-            w[i] = -(i + 1) if j < 0 else sign * (j + 1)
-            if j >= 0:
-                w[j] = sign * (i + 1)
-            refl.append((tuple(w), name, i, j, sign))
-
-        for i, j in combinations(range(n), 2):
-            add(i, j, 1, f"t({i + 1},{j + 1},+)")
-        if self.family in ("B", "D"):
-            for i, j in combinations(range(n), 2):
-                add(i, j, -1, f"t({i + 1},{j + 1},-)")
-        if self.family == "B":
-            for i in range(n):
-                add(i, -1, -1, f"t({i + 1})")
-
-        self.reflections: tuple[Window, ...] = tuple(r[0] for r in refl)
-        self.name_of: dict[Window, str] = {r[0]: r[1] for r in refl}
-        self._by_name = {r[1]: r[0] for r in refl}
-        self._reflection_letters = tuple((r[0], *r[2:]) for r in refl)
-
-    def _build_simples(self) -> None:
-        n = self.n
-        adjacent = [self._by_name[f"t({i},{i+1},+)"] for i in range(1, n)]
-        if self.family == "A":
-            self.simples = tuple(adjacent)
-        elif self.family == "B":
-            self.simples = (self._by_name["t(1)"], *adjacent)
-        else:
-            self.simples = (self._by_name["t(1,2,-)"], *adjacent)
+    @cached_property
+    def reflections(self) -> tuple[Window, ...]:
+        """T in reflection order."""
+        return tuple(self.name_of)
 
     # -- basic queries -----------------------------------------------------
 
@@ -164,7 +144,7 @@ class CoxeterContext:
         return w
 
     def __repr__(self) -> str:
-        return f"CoxeterContext({self.family}_{self.rank}, |T|={len(self.reflections)})"
+        return f"CoxeterContext({self.family}_{self.rank}, |T|={self.rank * invariants(self).coxeter_number // 2})"
 
 
 class ReflectionFactorization(NamedTuple):
@@ -222,6 +202,27 @@ def _reflection_length(w: Window) -> int:
     return len(w) - sum(not negative for _, negative in _cycle_walk(w)[2])
 
 
+def _letter_pairs(family: str, letters: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The reflections on the given 0-based letters, in reflection order, as
+    (i, j, sign) with i < j: t(i, j, +) over the pairs, then t(i, j, -) in
+    types B and D, then t(i) (as j = -1) in type B."""
+    letters = list(letters)
+    yield from ((i, j, 1) for i, j in combinations(letters, 2))
+    if family != "A":
+        yield from ((i, j, -1) for i, j in combinations(letters, 2))
+    if family == "B":
+        yield from ((i, -1, -1) for i in letters)
+
+
+def _reflection(n: int, i: int, j: int, sign: int) -> Window:
+    """The window of the reflection (i, j, sign) from `_letter_pairs`."""
+    w = list(range(1, n + 1))
+    w[i] = -(i + 1) if j < 0 else sign * (j + 1)
+    if j >= 0:
+        w[j] = sign * (i + 1)
+    return tuple(w)
+
+
 def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:
     """The reflections t with l_T(t u) < l_T(u), in reflection order.
 
@@ -230,18 +231,20 @@ def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:
     t(i) lowers u iff i's cycle is negative; t(i, j, +-) with i and j in
     different cycles iff both cycles are negative; in one negative cycle
     both signs lower u, in one positive cycle only the sign eps(i) eps(j).
+    A letter u fixes is a positive 1-cycle, so only reflections on the
+    letters u moves are tried.
     """
     cycle, eps, cycles = _cycle_walk(u)
     negative = [neg for _, neg in cycles]
     out = []
-    for t, i, j, sign in ctx._reflection_letters:
+    for i, j, sign in _letter_pairs(ctx.family, (i for i, x in enumerate(u) if x != i + 1)):
         a = cycle[i]
         if j < 0 or a != cycle[j]:
             lowers = negative[a] and (j < 0 or negative[cycle[j]])
         else:
             lowers = negative[a] or sign == eps[i] * eps[j]
         if lowers:
-            out.append(t)
+            out.append(_reflection(ctx.n, i, j, sign))
     return out
 
 
@@ -410,8 +413,6 @@ def hurwitz_orbits(ctx: CoxeterContext, w: Window) -> list[list[ReflectionFactor
 
     while pending:
         orbit = _closure([next(iter(pending))], moves)
-        if not orbit <= pending:
-            raise ArithmeticError("braid move left the reduced factorization set")
         pending -= orbit
         orbits.append([ReflectionFactorization(ctx, f) for f in sorted(orbit)])
     orbits.sort(key=lambda o: (-len(o), o[0].factors))

@@ -221,10 +221,10 @@ def test_nc_count_past_the_set_cap_prints_the_catalan_number_promptly(capsys):
 
 
 def test_a_rank_past_the_ceiling_is_refused_before_any_reflection_is_built(capsys, monkeypatch):
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a context past the ceiling was built")
 
-    monkeypatch.setattr(coxeter.CoxeterContext, "_build_reflections", refuse)
+    monkeypatch.setattr(coxeter, "_reflection", refuse)
     rank = caps.RANK_CAP_CEILING + 1
     for command in ("quasicox", "redt", "nccount"):
         argv = ["cox", command, "--family", "B", "--rank", str(rank), "--rank-cap", "2000"]

@@ -142,6 +142,24 @@ def test_reflection_names_roundtrip(family, rk):
         reflection_by_name(context, "t(99,100,+)")
 
 
+def test_a_context_builds_no_reflection_table_until_one_is_read():
+    # Every query reads its reflections off pairs of letters; only printed
+    # names and the tests read T, so a B200 context stays O(rank) windows.
+    context = C.CoxeterContext("B", 200, rank_cap=200)
+    c = context.coxeter_element
+    assert C.invariants(context).catalan > NC_SET_COUNT_CAP
+    assert C.require_coxeter_element(context) == c
+    assert C.is_quasi_coxeter(context, c) and C.is_parabolic_quasi_coxeter(context, c)
+    with pytest.raises(ResourceCapExceeded):
+        C.nc_set(context)
+    with pytest.raises(ResourceCapExceeded):
+        C.dual_braid_relation_check(context)
+    assert repr(context) == "CoxeterContext(B_200, |T|=40000)"
+    u = (2, 1, *range(3, 201))
+    assert C._lowering(context, u) == [u]
+    assert "reflections" not in vars(context) and "name_of" not in vars(context)
+
+
 def test_context_rejects_bad_input():
     with pytest.raises(FormatError):
         C.CoxeterContext("C", 3)
@@ -207,13 +225,44 @@ def test_nc_set_matches_the_whole_group_scan_at_every_coxeter_element(family, rk
         assert C.nc_set(context, c) == nc_scan(context, c), c
 
 
+def elements_with_fixed_letters(family: str, n: int, seed: str, count: int = 30) -> list:
+    """Windows on n letters with two fixed letters, a negative 1-cycle (not
+    in type A) and the other letters in cycles of two to four, at random."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        letters = rng.sample(range(1, n + 1), n)
+        w = {i: i for i in letters[:2]}
+        letters = letters[2:]
+        if family != "A":
+            w[letters[0]] = -letters[0]
+            letters = letters[1:]
+        while letters:
+            k = min(len(letters), rng.randint(2, 4))
+            cycle, letters = letters[:k], letters[k:]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                w[a] = b if family == "A" else rng.choice((b, -b))
+        if family == "D" and sum(x < 0 for x in w.values()) % 2:
+            w[cycle[0]] = -w[cycle[0]]
+        out.append(tuple(w[i] for i in range(1, n + 1)))
+    return out
+
+
 @pytest.mark.parametrize(
     "family,rk",
-    [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 6)] + [("D", r) for r in range(2, 6)],
+    [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 6)] + [("D", r) for r in range(2, 6)]
+    + [("A", 9), ("B", 9), ("D", 9)],
 )
 def test_lowering_reflections_read_off_the_cycle_type_match_the_filter_over_t(family, rk):
-    context = ctx(family, rk)
-    for u in context.elements:
+    # Past rank 5 the group is too large to scan; seeded elements that fix
+    # letters exercise the restriction to the letters an element moves.
+    if rk <= 5:
+        context = ctx(family, rk)
+        elements = context.elements
+    else:
+        context = C.CoxeterContext(family, rk, rank_cap=rk)
+        elements = [context.check_element(u) for u in elements_with_fixed_letters(family, context.n, f"lower {family}{rk}")]
+    for u in elements:
         assert C._lowering(context, u) == lowering_by_filter(context, u)
 
 
@@ -464,6 +513,15 @@ def test_braid_move_preserves_product_and_inverts():
         C.hurwitz_act(facts[0].factors, 5)
 
 
+def assert_orbits_partition_the_filtered_descent(context, w, orbits) -> None:
+    # A braid move keeps a reduced factorization reduced (it preserves the
+    # product and the number of factors), so the orbits partition Red_T(w).
+    descent = set(descent_by_filter(context, w))
+    sets = [{f.factors for f in orbit} for orbit in orbits]
+    assert all(orbit <= descent for orbit in sets)
+    assert set().union(*sets) == descent and sum(map(len, sets)) == len(descent)
+
+
 @pytest.mark.parametrize("family,rk", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 4)])
 def test_braid_action_is_transitive_on_coxeter_factorizations(family, rk):
     context = ctx(family, rk)
@@ -472,6 +530,7 @@ def test_braid_action_is_transitive_on_coxeter_factorizations(family, rk):
     assert len(orbits[0]) == len(
         C.red_t_factorizations(context, context.coxeter_element)
     )
+    assert_orbits_partition_the_filtered_descent(context, context.coxeter_element, orbits)
 
 
 def test_braid_orbits_of_minus_identity_in_d4():
@@ -480,6 +539,7 @@ def test_braid_orbits_of_minus_identity_in_d4():
     assert C.absolute_length(context, minus) == 4
     orbits = C.hurwitz_orbits(context, minus)
     assert sorted(len(o) for o in orbits) == [24, 24, 24]
+    assert_orbits_partition_the_filtered_descent(context, minus, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +575,7 @@ def test_proper_quasi_coxeter_example_in_detail():
     assert not C.is_coxeter_element(context, w)
     orbits = C.hurwitz_orbits(context, w)
     assert [len(o) for o in orbits] == [192]
+    assert_orbits_partition_the_filtered_descent(context, w, orbits)
 
 
 @pytest.mark.parametrize("family,rk", ORACLE_SIZES)
