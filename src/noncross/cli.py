@@ -333,7 +333,7 @@ def _cox_dualrel(args) -> dict:
         "orbits": report["orbits"],
         "moves_covered": report["moves_covered"],
         "items": [
-            [ctx.name_of[s], ctx.name_of[t], ctx.name_of[tp]]
+            [coxeter._name(s), coxeter._name(t), coxeter._name(tp)]
             for s, t, tp in report["relations"]
         ],
     }
@@ -380,8 +380,8 @@ def _rmt_verify(args) -> dict:
     spec = randmat.GinibreSpec(
         n=args.n, ell=args.ell, kind=args.kind, trials=args.trials, seed=args.seed
     )
-    # Before numpy loads: BLAS threads times worker threads should not exceed
-    # the cores a draw-ahead helper leaves, or BLAS pools spin against the
+    # Before numpy loads: BLAS threads times trial threads (workers and
+    # helpers) should not exceed the cores, or BLAS pools spin against the
     # other threads.
     plan = randmat.thread_plan(args.threads, spec.trials)
     os.environ.update(randmat.blas_thread_budget(plan, os.environ, sys.modules))

@@ -13,8 +13,7 @@ minus the cycles of |w| with an even number of sign changes.  NC(W, c) and the
 reduced factorizations are walked down from c one reflection at a time, and
 each step reads its lowering reflections off the signed cycle type (see
 `_lowering`), trying only the reflections on the letters the element moves
-instead of every t in T, so no query builds W itself, and none but printing
-names builds T.
+instead of every t in T, so no query builds W or T.
 One walk over the length levels of [1, w] (`_levels`) lists NC(W, c) and
 counts the reduced factorizations of an arbitrary w, which bounds their
 enumeration before it starts.  At a Coxeter element the numbers are
@@ -68,10 +67,10 @@ class CoxeterContext:
     """A reflection group of type A, B or D: its letters, the simple
     reflections and the default Coxeter element (product of the simple
     reflections in order), O(rank) windows in all.  A reflection is a rule
-    over a pair of letters (`_letter_pairs`, `_reflection`), so no query
-    needs the table of T: `reflections` and `name_of` build it on first
-    read, for printed names and the tests.  Nothing of size |W| is built;
-    `elements` generates the group from the simples on first use.
+    over a pair of letters (`_letter_pairs`, `_reflection`), and its printed
+    name is read off its window (`_name`), so nothing builds the table of T.
+    Nothing of size |W| is built; `elements` generates the group from the
+    simples on first use.
     Only tests read `elements`, `order` and `generated_subgroup`, but they
     stay here: the benchmark's tracer reads `ctx.elements` and `ctx.order`
     in its hooks on this constructor and on `nc_set`, so every traced `cox`
@@ -103,20 +102,6 @@ class CoxeterContext:
         self.coxeter_element = identity(n)
         for s in self.simples:
             self.coxeter_element = mul(self.coxeter_element, s)
-
-    @cached_property
-    def name_of(self) -> dict[Window, str]:
-        """Every reflection with its printed name, in reflection order; built
-        on first read, since only printing names and the tests need all of T."""
-        return {
-            _reflection(self.n, i, j, sign): f"t({i + 1})" if j < 0 else f"t({i + 1},{j + 1},{'+-'[sign < 0]})"
-            for i, j, sign in _letter_pairs(self.family, range(self.n))
-        }
-
-    @cached_property
-    def reflections(self) -> tuple[Window, ...]:
-        """T in reflection order."""
-        return tuple(self.name_of)
 
     # -- basic queries -----------------------------------------------------
 
@@ -160,7 +145,7 @@ class ReflectionFactorization(NamedTuple):
         return out
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.ctx.name_of[t] for t in self.factors)
+        return tuple(map(_name, self.factors))
 
 
 def _closure(seeds: Iterable, step: Callable[[object], Iterable]) -> set:
@@ -221,6 +206,15 @@ def _reflection(n: int, i: int, j: int, sign: int) -> Window:
     if j >= 0:
         w[j] = sign * (i + 1)
     return tuple(w)
+
+
+def _name(t: Window) -> str:
+    """The printed name of the reflection t, read off its first moved letter
+    i and the signed letter t sends i to: t(i) when t only negates i, else
+    t(i,j,+) or t(i,j,-)."""
+    i = next(i for i, x in enumerate(t, start=1) if x != i)
+    j = t[i - 1]
+    return f"t({i})" if j == -i else f"t({i},{abs(j)},{'+-'[j < 0]})"
 
 
 def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:

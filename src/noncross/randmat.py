@@ -26,44 +26,38 @@ depend on it.  So the output is the same bytes for every ``threads`` value
 and every BLAS thread setting.  NumPy is imported inside the functions that
 use it, so importing this module (and the CLI) does not load it.
 
-A trial runs in two stages.  The draw stage opens the trial's substream and
-draws its Ginibre factors (ell of them for a product, one for a power); the
-multiply stage forms W, a = W W*, the half powers and the traces.  Trial i
-goes to worker i mod w, for w = min(threads, trials) workers, and each
-worker returns its rows to be put back in trial order.  While the workers
-leave cores idle, a worker's draw stage runs on a helper thread of its own,
-up to two matrices ahead of its multiply stage, so the Philox sampling
-overlaps the matrix products instead of leaving a BLAS thread spinning
-through it.  ``thread_plan`` decides the workers, the helpers and the BLAS
-threads of each worker from the cores this process may use.
+Trial i runs on trial thread i mod t, and each thread returns its rows to
+be put back in trial order.  ``thread_plan`` decides the t threads: the
+w = min(threads, trials) workers, plus a helper for each worker while the
+workers leave cores idle and trials are left over for it, and the BLAS
+threads of each, an equal share of the cores.  Every trial thread runs the
+same loop: it opens the trial's substream, draws the trial's Ginibre factors
+(ell of them for a product, one for a power) and forms W, a = W W*, the half
+powers and the traces.  When a trial raises, every thread stops before its
+next trial.
 
-Every n x n array a worker touches is allocated once per worker and reused
-by every trial.  The multiply stage works in a pool of three complex
-matrices: each product and conjugate goes to whichever pool buffer no live
-operand occupies.  That covers every k, because from k = 5 on the
-conjugate of a half power no longer needed overwrites it.  Without a helper,
-each Ginibre factor is drawn straight into a free pool buffer, its Gaussians
-passing through the first half of another.  With a helper the factors come
-from a ring of ``DRAW_AHEAD + 1`` = 3 buffers and an n x n float scratch of
-the helper's own, and a product's first factor is copied into the pool
-before the next draw may reuse its ring buffer.  So a worker holds three
-complex matrices, 16 n^2 bytes each, without a helper and 6.5 with one; the
-cap counts ``MATRICES_PER_WORKER`` = 7.
+Every n x n array a trial thread touches is allocated once per thread and
+reused by every trial: a pool of three complex matrices, 16 n^2 bytes each.
+Each Ginibre factor is drawn into a free pool buffer, its Gaussians passing
+through the first half of another, and each product and conjugate goes to
+whichever buffer no live operand occupies.  That covers every k, because
+from k = 5 on the conjugate of a half power no longer needed overwrites it.
+Besides the pool a thread holds at most a quarter matrix, so the cap counts
+``MATRICES_PER_THREAD`` = 4.
 
 Caps bound one trial's memory and a run's time: n <= 1024 keeps each complex
-matrix at 16 MiB, so a worker holds at most 112 MiB; ell <= 16 and k <= 12
-bound a trial to 21 matrix products, and trials <= 10,000 bound the run.
-threads <= 64 bounds the pool, and the joint cap RMT_MEMORY_CAP_MIB bounds
-workers x 7 x 16 n^2 bytes, so 64 workers run only up to n = 512 and 18 at
-n = 1024, never the ~7 GiB that 64 workers would hold there.
+matrix at 16 MiB, so a trial thread holds at most 64 MiB; ell <= 16 and
+k <= 12 bound a trial to 21 matrix products, and trials <= 10,000 bound the
+run.  threads <= 64 bounds the workers, and the joint cap RMT_MEMORY_CAP_MIB
+bounds trial threads x 4 x 16 n^2 bytes, so 64 threads run only up to
+n = 724 and 32 at n = 1024, never the 4 GiB that 64 threads would hold there.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+import threading
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
@@ -85,12 +79,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# How many matrices a helper's draw stage may run ahead of its worker.
-DRAW_AHEAD = 2
-# The n x n complex matrices one worker holds at most (module docstring):
-# the pool of three, a helper's draw buffers, and its float scratch (half a
-# complex matrix) rounded up to one.
-MATRICES_PER_WORKER = 3 + (DRAW_AHEAD + 1) + 1
+# The n x n complex matrices one trial thread holds at most (module
+# docstring): its pool of three, and at most a quarter matrix besides,
+# rounded up to one.
+MATRICES_PER_THREAD = 4
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -170,33 +162,6 @@ def sample_ginibre(
     return out
 
 
-def _draws(spec: GinibreSpec, trials: Iterable[int]) -> Iterator[np.ndarray]:
-    """The draw stage: the Ginibre factors of ``trials`` in order, each from
-    its trial's substream, drawn through an n x n float scratch into
-    ``DRAW_AHEAD + 1`` reused n x n arrays in turn.  A yielded matrix stays
-    valid until ``DRAW_AHEAD + 1`` more are asked for."""
-    import numpy as np
-
-    n = spec.n
-    ring = itertools.cycle([np.empty((n, n), dtype=complex) for _ in range(DRAW_AHEAD + 1)])
-    scratch = np.empty((n, n))
-    factors = spec.ell if spec.kind == "product" else 1
-    for trial in trials:
-        rng = trial_rng(spec.seed, trial)
-        for _ in range(factors):
-            yield sample_ginibre(n, rng, out=next(ring), scratch=scratch)
-
-
-def _ahead(draws: Iterator, helper) -> Iterator:
-    """``draws`` advanced on the executor ``helper`` ``DRAW_AHEAD`` items
-    ahead of the caller; a draw's exception is raised where its item would
-    have been."""
-    pending = deque(helper.submit(next, draws, None) for _ in range(DRAW_AHEAD))
-    while (item := pending.popleft().result()) is not None:
-        pending.append(helper.submit(next, draws, None))
-        yield item
-
-
 def _matrix_power(g: np.ndarray, ell: int, mul) -> np.ndarray:
     """g^ell by ``numpy.linalg.matrix_power``'s products, in its order."""
     if ell == 3:
@@ -216,35 +181,35 @@ def _free(pool: list[np.ndarray], *live: np.ndarray) -> np.ndarray:
 
 
 def _trial_moments(
-    spec: GinibreSpec, k_max: int, draw: Callable[..., np.ndarray], pool: list[np.ndarray]
+    spec: GinibreSpec, k_max: int, rng: np.random.Generator, pool: list[np.ndarray]
 ) -> np.ndarray:
-    """The multiply stage of one trial: W from the factors ``draw(*live)``
-    returns, a = W W*, and tr(a^k) / n for k = 1..k_max.  Every product and
-    conjugate goes to whichever of the three ``pool`` buffers no live operand
-    occupies; ``draw`` is told the live operands, as it may draw into the
-    pool."""
+    """One trial: W from Ginibre factors drawn from ``rng``, a = W W*, and
+    tr(a^k) / n for k = 1..k_max.  Every factor, product and conjugate goes
+    to whichever of the three ``pool`` buffers no live operand occupies."""
     import numpy as np
 
+    n = spec.n
     free = partial(_free, pool)
 
     def mul(x: np.ndarray, y: np.ndarray, *live: np.ndarray) -> np.ndarray:
         return np.matmul(x, y, out=free(x, y, *live))
 
-    g = draw()
+    def draw(*live: np.ndarray) -> np.ndarray:
+        # The factor goes to a free buffer, its Gaussians through the first
+        # half of another.
+        out = free(*live)
+        return sample_ginibre(n, rng, out, free(out, *live).view(float).reshape(-1)[: n * n].reshape(n, n))
+
+    w = draw()
     if spec.kind == "power":
-        w = _matrix_power(g, spec.ell, mul)
+        w = _matrix_power(w, spec.ell, mul)
     else:
-        w = g
-        if spec.ell > 1 and all(g is not b for b in pool):
-            # The helper's next draw may reuse g's ring buffer.
-            w = free()
-            np.copyto(w, g)
         for _ in range(spec.ell - 1):
             w = mul(w, draw(w))
     conj_w = np.conjugate(w, out=free(w))
     a = np.matmul(w, conj_w.T, out=free(w, conj_w))
     out = np.empty(k_max)
-    out[0] = np.trace(a).real / spec.n
+    out[0] = np.trace(a).real / n
     low = high = a  # a^floor(k/2), a^ceil(k/2)
     for k in range(2, k_max + 1):
         if k % 2:
@@ -254,35 +219,27 @@ def _trial_moments(
         # At odd k >= 5 a^floor(k/2) is needed no more, so its conjugate
         # overwrites it: a, high and conj_low fill the pool.
         conj_low = np.conjugate(low, out=low if k % 2 and k >= 5 else free(low, high, a))
-        out[k - 1] = np.einsum("ij,ij->", conj_low, high).real / spec.n
+        out[k - 1] = np.einsum("ij,ij->", conj_low, high).real / n
     return out
 
 
-def _rows(spec: GinibreSpec, k_max: int, trials: range, ahead: bool) -> list[np.ndarray]:
-    """One worker's moment rows for ``trials``, in order; ``ahead`` runs its
-    draw stage on a helper thread."""
-    from concurrent.futures import ThreadPoolExecutor
-
+def _rows(spec: GinibreSpec, k_max: int, trials: range, stop: threading.Event) -> list[np.ndarray]:
+    """One trial thread's moment rows for ``trials``, in order, in one pool
+    of three n x n buffers.  It stops before its next trial once ``stop`` is
+    set, and sets ``stop`` when a trial raises."""
     import numpy as np
 
-    n = spec.n
-    pool = [np.empty((n, n), dtype=complex) for _ in range(3)]
-    if ahead:
-        with ThreadPoolExecutor(1) as helper:
-            factors = _ahead(_draws(spec, trials), helper)
-            return [_trial_moments(spec, k_max, lambda *live: next(factors), pool) for _ in trials]
-
-    def draw_into_pool(rng: np.random.Generator, *live: np.ndarray) -> np.ndarray:
-        # The factor goes to a free buffer, its Gaussians through the first
-        # half of another.
-        out = _free(pool, *live)
-        scratch = _free(pool, out, *live).view(float).reshape(-1)[: n * n].reshape(n, n)
-        return sample_ginibre(n, rng, out, scratch)
-
-    return [
-        _trial_moments(spec, k_max, partial(draw_into_pool, trial_rng(spec.seed, trial)), pool)
-        for trial in trials
-    ]
+    pool = [np.empty((spec.n, spec.n), dtype=complex) for _ in range(3)]
+    rows = []
+    try:
+        for trial in trials:
+            if stop.is_set():
+                break
+            rows.append(_trial_moments(spec, k_max, trial_rng(spec.seed, trial), pool))
+    except BaseException:
+        stop.set()
+        raise
+    return rows
 
 
 def _nproc() -> int:
@@ -293,9 +250,9 @@ def _nproc() -> int:
 
 
 class ThreadPlan(NamedTuple):
-    """How a run uses the cores: ``workers`` threads run the trials, the
-    first ``helpers`` of them each with a draw-ahead thread, and each worker
-    gets ``blas`` BLAS threads."""
+    """How a run uses the cores: ``workers`` threads for ``--threads`` and
+    ``helpers`` more on the cores they leave idle.  Every one of these trial
+    threads runs whole trials with ``blas`` BLAS threads."""
 
     workers: int
     helpers: int
@@ -304,15 +261,15 @@ class ThreadPlan(NamedTuple):
 
 def thread_plan(threads: int, trials: int) -> ThreadPlan:
     """Workers for ``threads`` on ``trials`` trials, a helper for each worker
-    while cores are left idle, and the other cores' share for each worker's
-    BLAS (at least 1)."""
+    while cores are idle and trials are left over for it, and an equal share
+    of the cores for each trial thread's BLAS (at least 1)."""
     if threads < 1:
         raise FormatError("threads must be >= 1")
     _check_cap("threads", threads, THREADS_CAP)
     cores = _nproc()
     workers = min(threads, trials)
-    helpers = min(workers, max(0, cores - workers))
-    return ThreadPlan(workers, helpers, max(1, (cores - helpers) // workers))
+    helpers = max(0, min(workers, cores - workers, trials - workers))
+    return ThreadPlan(workers, helpers, max(1, cores // (workers + helpers)))
 
 
 def blas_thread_budget(
@@ -327,10 +284,11 @@ def blas_thread_budget(
 
 
 def _check_memory(spec: GinibreSpec, plan: ThreadPlan) -> None:
-    held = plan.workers * MATRICES_PER_WORKER * spec.n**2 * 16
+    threads = plan.workers + plan.helpers
+    held = threads * MATRICES_PER_THREAD * spec.n**2 * 16
     if held > RMT_MEMORY_CAP_MIB << 20:
         raise ResourceCapExceeded(
-            f"workers x matrices x n^2 x 16 bytes = {plan.workers} x {MATRICES_PER_WORKER}"
+            f"threads x matrices x n^2 x 16 bytes = {threads} x {MATRICES_PER_THREAD}"
             f" x {spec.n}^2 x 16 = {held >> 20} MiB exceeds the cap {RMT_MEMORY_CAP_MIB} MiB"
         )
 
@@ -339,7 +297,10 @@ def estimate_moments(
     spec: GinibreSpec, k_max: int, threads: int = 1
 ) -> list[MomentEstimate]:
     """Trial-averaged moments of W W* for k = 1..k_max, with standard errors
-    and the exact rational targets from the moment calculus."""
+    and the exact rational targets from the moment calculus.  Trial i runs on
+    trial thread i mod (workers + helpers).  When a trial raises, every
+    thread stops before its next trial, and the exception is raised here (the
+    first failed thread's, in thread order, if more than one fails)."""
     if k_max < 1:
         raise FormatError("k_max must be >= 1")
     _check_cap("k", k_max, K_CAP)
@@ -349,17 +310,13 @@ def estimate_moments(
     from concurrent.futures import ThreadPoolExecutor
 
     targets = free_bessel_moments(spec.ell, k_max)
-    workers = plan.workers
-    with ThreadPoolExecutor(workers) as pool:
-        parts = list(
-            pool.map(
-                lambda i: _rows(spec, k_max, range(i, spec.trials, workers), i < plan.helpers),
-                range(workers),
-            )
-        )
+    count = plan.workers + plan.helpers
+    stop = threading.Event()
+    with ThreadPoolExecutor(count) as pool:
+        parts = list(pool.map(lambda i: _rows(spec, k_max, range(i, spec.trials, count), stop), range(count)))
     rows = [None] * spec.trials
     for i, part in enumerate(parts):
-        rows[i::workers] = part
+        rows[i::count] = part
     data = np.vstack(rows)
     means = data.mean(axis=0)
     stderr = data.std(axis=0, ddof=1) / np.sqrt(spec.trials)

@@ -16,7 +16,9 @@ from functools import cache
 from itertools import chain, combinations, product
 
 from noncross.coxeter import (
+    _letter_pairs,
     _lowering,
+    _reflection,
     _reflection_length,
     dual_braid_relations,
     generated_subgroup,
@@ -617,6 +619,22 @@ def walked_f_vector(p: NCPartition, q: NCPartition) -> tuple[int, ...]:
 
 
 @cache
+def name_of(ctx) -> dict:
+    """Every reflection of ctx with its printed name, in reflection order:
+    the table of T that the library no longer builds."""
+    return {
+        _reflection(ctx.n, i, j, sign): f"t({i + 1})" if j < 0 else f"t({i + 1},{j + 1},{'+-'[sign < 0]})"
+        for i, j, sign in _letter_pairs(ctx.family, range(ctx.n))
+    }
+
+
+@cache
+def reflections(ctx) -> tuple:
+    """T in reflection order."""
+    return tuple(name_of(ctx))
+
+
+@cache
 def bfs_reflection_length(ctx) -> dict:
     """Graph distance from the identity in the Cayley graph over the full
     reflection set, for every element of the group."""
@@ -626,7 +644,7 @@ def bfs_reflection_length(ctx) -> dict:
     while frontier:
         nxt = []
         for w in frontier:
-            for t in ctx.reflections:
+            for t in reflections(ctx):
                 u = mul(w, t)
                 if u not in dist:
                     dist[u] = dist[w] + 1
@@ -646,7 +664,7 @@ def nc_scan(ctx, c) -> list:
 def lowering_by_filter(ctx, u) -> list:
     """The reflections t with l_T(t u) < l_T(u), by trying every t in T."""
     k = _reflection_length(u)
-    return [t for t in ctx.reflections if _reflection_length(mul(t, u)) < k]
+    return [t for t in reflections(ctx) if _reflection_length(mul(t, u)) < k]
 
 
 def descent_by_filter(ctx, w):
@@ -665,8 +683,8 @@ def dual_braid_relations_by_scan(ctx, c) -> list:
     lc = _reflection_length(c)
     return [
         (s, t, mul(mul(s, t), s))
-        for s in ctx.reflections
-        for t in ctx.reflections
+        for s in reflections(ctx)
+        for t in reflections(ctx)
         if s != t and 2 + _reflection_length(mul(inv(mul(s, t)), c)) == lc
     ]
 
@@ -806,7 +824,7 @@ def conjugacy_class(ctx, w) -> frozenset:
     while frontier:
         nxt = []
         for x in frontier:
-            for t in ctx.reflections:
+            for t in reflections(ctx):
                 y = mul(mul(t, x), t)
                 if y not in seen:
                     seen.add(y)
@@ -816,8 +834,8 @@ def conjugacy_class(ctx, w) -> frozenset:
 
 
 def reflection_by_name(ctx, name: str):
-    """The reflection printed as name, by inverting the context's names."""
-    by_name = {n: t for t, n in ctx.name_of.items()}
+    """The reflection printed as name, by inverting `name_of`."""
+    by_name = {n: t for t, n in name_of(ctx).items()}
     try:
         return by_name[name]
     except KeyError:
@@ -830,7 +848,7 @@ def greedy_factorization(ctx, w) -> list:
     dist = bfs_reflection_length(ctx)
     factors, rest = [], w
     while dist[rest]:
-        t = next(t for t in ctx.reflections if dist[mul(t, rest)] == dist[rest] - 1)
+        t = next(t for t in reflections(ctx) if dist[mul(t, rest)] == dist[rest] - 1)
         factors.append(t)
         rest = mul(t, rest)
     return factors

@@ -457,11 +457,12 @@ def test_rmt_workers_matrices_over_the_joint_cap_exit_3(monkeypatch, capsys):
         raise AssertionError("sampled past a cap")
 
     monkeypatch.setattr(randmat, "trial_rng", no_sampling)
-    argv = ["rmt", "verify", "--n", str(randmat.N_CAP), "--threads", "19"]
+    monkeypatch.setattr(randmat, "_nproc", lambda: 2)
+    argv = ["rmt", "verify", "--n", str(randmat.N_CAP), "--threads", "33"]
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"workers x matrices x n^2 x 16 bytes = 19 x 7 x {randmat.N_CAP}^2 x 16" in err
+    assert f"threads x matrices x n^2 x 16 bytes = 33 x 4 x {randmat.N_CAP}^2 x 16" in err
     assert f"exceeds the cap {caps.RMT_MEMORY_CAP_MIB} MiB" in err
 
 
@@ -594,7 +595,7 @@ def test_only_printed_free_values_must_be_printable(argv, values, capsys):
 def test_rmt_output_is_independent_of_worker_and_blas_threads():
     # n = 128 is large enough that a threaded BLAS level-1 reduction would
     # split its sum, so a reduction that went through one would show here.
-    # On two cores one worker draws ahead on a helper thread, while three
+    # On two cores one worker runs beside a helper thread, while three
     # workers are more than the cores and run none.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in randmat.BLAS_THREAD_VARS}

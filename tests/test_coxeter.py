@@ -31,12 +31,14 @@ from helpers import (
     generates_the_group,
     lowering_by_filter,
     moves_covered_by_scan,
+    name_of,
     nc_all,
     nc_lattice_check,
     nc_scan,
     pairwise_lattice_check,
     pointwise_stabilizer,
     reflection_by_name,
+    reflections,
     root_of,
 )
 from noncross import coxeter as C
@@ -105,7 +107,7 @@ def test_windows_act_on_vectors_with_signs():
 def test_group_and_reflection_counts(family, rk, group_order, n_reflections):
     context = ctx(family, rk)
     assert context.order == group_order
-    assert len(context.reflections) == n_reflections
+    assert len(reflections(context)) == n_reflections
     letters = rk + 1 if family == "A" else rk
     expected_t = {
         "A": comb(letters, 2),
@@ -125,7 +127,7 @@ def test_every_reflection_acts_by_its_root(family, rk):
     context = ctx(family, rk)
     n = context.n
     basis = [[Fraction(i == j) for i in range(n)] for j in range(n)]
-    for t in context.reflections:
+    for t in reflections(context):
         alpha = root_of(t)
         for e in basis:
             assert apply_to_vector(t, e) == reflect(e, alpha)
@@ -135,16 +137,17 @@ def test_every_reflection_acts_by_its_root(family, rk):
 @pytest.mark.parametrize("family,rk", ALL_SMALL)
 def test_reflection_names_roundtrip(family, rk):
     context = ctx(family, rk)
-    for t in context.reflections:
-        name = context.name_of[t]
+    for t in reflections(context):
+        name = name_of(context)[t]
         assert reflection_by_name(context, name) == t
     with pytest.raises(FormatError):
         reflection_by_name(context, "t(99,100,+)")
 
 
 def test_a_context_builds_no_reflection_table_until_one_is_read():
-    # Every query reads its reflections off pairs of letters; only printed
-    # names and the tests read T, so a B200 context stays O(rank) windows.
+    # Every query reads its reflections off pairs of letters and names them
+    # off their windows; only the tests build T, so a B200 context stays
+    # O(rank) windows.
     context = C.CoxeterContext("B", 200, rank_cap=200)
     c = context.coxeter_element
     assert C.invariants(context).catalan > NC_SET_COUNT_CAP
@@ -158,6 +161,28 @@ def test_a_context_builds_no_reflection_table_until_one_is_read():
     u = (2, 1, *range(3, 201))
     assert C._lowering(context, u) == [u]
     assert "reflections" not in vars(context) and "name_of" not in vars(context)
+    assert all(len(v) <= 2 * context.n for v in vars(context).values() if hasattr(v, "__len__"))
+
+
+@pytest.mark.parametrize(
+    "family,rk", [*(("A", r) for r in range(1, 7)), *(("B", r) for r in range(2, 6)), *(("D", r) for r in range(2, 6))]
+)
+def test_a_reflection_is_named_off_its_window(family, rk):
+    context = ctx(family, rk)
+    assert [C._name(t) for t in reflections(context)] == list(name_of(context).values())
+
+
+def test_printed_names_build_no_reflection_table():
+    # Seven disjoint transpositions of B200: 7! factorizations over seven
+    # reflections, each named off its window; the context stays O(rank).
+    context = C.CoxeterContext("B", 200, rank_cap=200)
+    w = list(range(1, 201))
+    for i in range(0, 14, 2):
+        w[i], w[i + 1] = w[i + 1], w[i]
+    names = {name for f in C.red_t_factorizations(context, tuple(w)) for name in f.names()}
+    assert names == {f"t({i},{i + 1},+)" for i in range(1, 14, 2)}
+    assert "reflections" not in vars(context) and "name_of" not in vars(context)
+    assert all(len(v) <= 2 * context.n for v in vars(context).values() if hasattr(v, "__len__"))
 
 
 def test_context_rejects_bad_input():
@@ -433,11 +458,11 @@ def test_reduced_factorization_counts_of_coxeter_elements(family, rk, count):
     context = ctx(family, rk)
     facts = C.red_t_factorizations(context, context.coxeter_element)
     assert len(facts) == count
-    reflections = set(context.reflections)
+    t_set = set(reflections(context))
     for f in facts:
         assert f.product() == context.coxeter_element
         assert len(f.factors) == rk
-        assert set(f.factors) <= reflections
+        assert set(f.factors) <= t_set
         partial = C.identity(context.n)
         for i, t in enumerate(reversed(f.factors), start=1):
             partial = C.mul(t, partial)
@@ -621,7 +646,7 @@ def test_identity_reflections_and_coxeter_elements_are_parabolic_quasi_coxeter(
 ):
     context = ctx(family, rk)
     assert C.is_parabolic_quasi_coxeter(context, C.identity(context.n))
-    for t in context.reflections:
+    for t in reflections(context):
         assert C.is_parabolic_quasi_coxeter(context, t)
     assert C.is_parabolic_quasi_coxeter(context, context.coxeter_element)
 
@@ -740,8 +765,8 @@ def test_dual_braid_relations_match_the_pairwise_scan(family, rk):
     c = context.coxeter_element
     relations = C.dual_braid_relations(context, c)
     assert relations == dual_braid_relations_by_scan(context, c)
-    reflections = set(context.reflections)
-    assert all(tp in reflections and C.mul(tp, s) == C.mul(s, t) for s, t, tp in relations)
+    t_set = set(reflections(context))
+    assert all(tp in t_set and C.mul(tp, s) == C.mul(s, t) for s, t, tp in relations)
 
 
 @pytest.mark.parametrize("family,rk", [("A", 3), ("B", 2), ("B", 3)])
@@ -754,7 +779,7 @@ def test_dual_braid_relations_cover_all_moves(family, rk):
     assert report["relations"] == C.dual_braid_relations(context)
     for s, t, tp in report["relations"]:
         assert C.mul(s, t) == C.mul(tp, s)
-        assert tp in set(context.reflections)
+        assert tp in set(reflections(context))
         assert C.abs_le(context, C.mul(s, t), context.coxeter_element)
 
 

@@ -5,6 +5,7 @@ moment targets."""
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -45,13 +46,15 @@ def test_inputs_over_the_caps_are_refused_before_sampling(monkeypatch):
         R.estimate_moments(spec, R.K_CAP + 1)
     with pytest.raises(ResourceCapExceeded):
         R.estimate_moments(spec, 2, threads=R.THREADS_CAP + 1)
-    # The joint cap on the workers' matrices: 18 workers at n = 1024 hold
-    # 18 x 7 x 16 MiB = 2016 MiB, one more worker is refused.
+    # The joint cap on the trial threads' matrices: on 4 cores 32 workers
+    # run no helper, and at n = 1024 they hold 32 x 4 x 16 MiB = 2048 MiB;
+    # one more thread is refused.
+    monkeypatch.setattr(R, "_nproc", lambda: 4)
     big = R.GinibreSpec(**{**base, "n": R.N_CAP, "trials": 50})
-    R._check_memory(big, R.thread_plan(18, big.trials))
-    with pytest.raises(ResourceCapExceeded, match=r"workers x matrices x n\^2 x 16 bytes = 19 x 7"):
-        R.estimate_moments(big, 2, threads=19)
-    # Only the workers that run count: 64 threads on 4 trials are 4 workers.
+    R._check_memory(big, R.thread_plan(32, big.trials))
+    with pytest.raises(ResourceCapExceeded, match=r"threads x matrices x n\^2 x 16 bytes = 33 x 4"):
+        R.estimate_moments(big, 2, threads=33)
+    # Only the threads that run count: 64 threads on 4 trials are 4 workers.
     R._check_memory(R.GinibreSpec(**{**base, "n": R.N_CAP}), R.thread_plan(R.THREADS_CAP, 4))
 
 
@@ -140,36 +143,41 @@ def test_half_power_kernel_matches_the_full_power_oracle(kind, ell, n):
     # powers in place.
     spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=2, seed=n + 10 * ell)
     for k_max in range(1, R.K_CAP + 1):
-        for ahead in (False, True):
-            for trial, got in enumerate(R._rows(spec, k_max, range(2), ahead)):
-                want = matmul_trial_moments(spec, k_max, trial)
-                assert got[0] == want[0]
-                np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+        for trial, got in enumerate(R._rows(spec, k_max, range(2), threading.Event())):
+            want = matmul_trial_moments(spec, k_max, trial)
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("ahead", [False, True])
+@pytest.mark.parametrize("on_helper", [False, True])
 @pytest.mark.parametrize("kind", R.KINDS)
 @pytest.mark.parametrize("ell", [1, 2, 5])
 @pytest.mark.parametrize("k_max", [4, R.K_CAP])
-def test_a_worker_allocates_at_most_its_counted_matrices(k_max, ell, kind, ahead):
-    # tracemalloc sees numpy's array data.  The warm-up call keeps the first
-    # call's imports out of the peak.  Without a helper a worker holds its
-    # pool of three matrices; with one it holds all but half a matrix of
-    # MATRICES_PER_WORKER, so the constant is neither short nor loose.
+def test_a_worker_allocates_at_most_its_counted_matrices(k_max, ell, kind, on_helper):
+    # tracemalloc sees numpy's array data in every thread.  The warm-up call
+    # keeps the first call's imports out of the peak.  A trial thread, run
+    # here on the caller's thread or on a pool thread as a helper is, holds
+    # its pool of three matrices and less than one more, so
+    # MATRICES_PER_THREAD is neither short nor loose.
     n = 64
     matrix = 16 * n * n
     spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=3, seed=ell)
-    R._rows(spec, k_max, range(3), ahead)
+
+    def rows():
+        if not on_helper:
+            return R._rows(spec, k_max, range(3), threading.Event())
+        with ThreadPoolExecutor(1) as helper:
+            return helper.submit(R._rows, spec, k_max, range(3), threading.Event()).result()
+
+    rows()
     tracemalloc.start()
     try:
-        R._rows(spec, k_max, range(3), ahead)
+        rows()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if ahead:
-        assert (R.MATRICES_PER_WORKER - 1) * matrix < peak <= R.MATRICES_PER_WORKER * matrix
-    else:
-        assert peak <= 3 * matrix + matrix // 4
+    assert (R.MATRICES_PER_THREAD - 1) * matrix < peak <= R.MATRICES_PER_THREAD * matrix
+    assert peak <= 3 * matrix + matrix // 4
 
 
 def test_draws_are_scaled_as_they_are_written():
@@ -192,20 +200,21 @@ def test_kernel_forms_the_oracles_w_at_every_ell(kind):
     # same products in the same order, with no live operand overwritten.
     for ell in range(1, R.ELL_CAP + 1):
         spec = R.GinibreSpec(n=5, ell=ell, kind=kind, trials=2, seed=ell)
-        for trial, got in enumerate(R._rows(spec, 1, range(2), ahead=False)):
+        for trial, got in enumerate(R._rows(spec, 1, range(2), threading.Event())):
             assert got[0] == matmul_trial_moments(spec, 1, trial)[0]
 
 
 def test_blas_thread_budget_splits_the_cores_and_defers_to_the_user(monkeypatch):
     monkeypatch.setattr(R, "_nproc", lambda: 4)
-    # (threads, trials) -> (workers, helpers, BLAS threads per worker): a
-    # helper per worker while cores are idle, the rest of the cores to BLAS.
-    # One worker gets a share too, beside its helper.
-    assert R.thread_plan(1, 50) == (1, 1, 3)
+    # (threads, trials) -> (workers, helpers, BLAS threads per trial
+    # thread): a helper per worker while cores are idle, and an equal share
+    # of the cores for every trial thread's BLAS.
+    assert R.thread_plan(1, 50) == (1, 1, 2)
     assert R.thread_plan(2, 50) == (2, 2, 1)
     assert R.thread_plan(3, 50) == (3, 1, 1)
     assert R.thread_plan(8, 50) == (8, 0, 1)
-    assert R.thread_plan(8, 2) == (2, 2, 1)  # only the workers that run count
+    # Only the workers that run count, and no helper is left without a trial.
+    assert R.thread_plan(8, 2) == (2, 0, 2)
     monkeypatch.setattr(R, "_nproc", lambda: 1)
     assert R.thread_plan(1, 50) == (1, 0, 1)
     with pytest.raises(FormatError):
@@ -219,9 +228,9 @@ def test_blas_thread_budget_splits_the_cores_and_defers_to_the_user(monkeypatch)
 
 
 @pytest.mark.parametrize("cores", [1, 4])
-def test_estimates_are_identical_with_and_without_draw_ahead(cores, monkeypatch):
+def test_estimates_are_identical_with_and_without_helpers(cores, monkeypatch):
     # On 4 cores threads 1 and 2 run a helper per worker and threads 3 one
-    # helper for three workers; on 1 core nothing runs ahead.
+    # helper for three workers; on 1 core no helper runs.
     monkeypatch.setattr(R, "_nproc", lambda: cores)
     results = []
     for threads in (1, 2, 3):
@@ -288,6 +297,36 @@ def test_a_failed_multiply_stops_the_helper(threads, monkeypatch):
     with pytest.raises(Boom, match="multiply"):
         R.estimate_moments(spec, 4, threads=threads)
     assert threading.active_count() == before
-    # Two trials took a draw each; every helper stopped within its
-    # draw-ahead window instead of drawing the other trials.
-    assert len(draws) <= 2 + threads * R.DRAW_AHEAD
+    # Two trials succeeded and each trial thread failed at most once: every
+    # thread stopped after at most two draws instead of drawing the other
+    # trials.
+    plan = R.thread_plan(threads, spec.trials)
+    assert len(draws) <= 2 * (plan.workers + plan.helpers)
+    assert len(calls) <= 2 + plan.workers + plan.helpers
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_failed_trial_stops_every_thread(threads, monkeypatch):
+    # Trial 0 fails as it opens its substream; every other trial thread
+    # stops before its next trial instead of running out its share.
+    monkeypatch.setattr(R, "_nproc", lambda: 4)
+    calls = []
+    lock = threading.Lock()
+    rng = R.trial_rng
+
+    def trial_0_fails(seed, trial):
+        with lock:
+            calls.append(trial)
+        if trial == 0:
+            raise Boom("trial 0")
+        return rng(seed, trial)
+
+    monkeypatch.setattr(R, "trial_rng", trial_0_fails)
+    before = threading.active_count()
+    spec = R.GinibreSpec(n=256, ell=1, kind="product", trials=200, seed=0)
+    with pytest.raises(Boom, match="trial 0"):
+        R.estimate_moments(spec, 4, threads=threads)
+    assert threading.active_count() == before
+    plan = R.thread_plan(threads, spec.trials)
+    assert plan.workers + plan.helpers == 2 * threads
+    assert len(calls) <= 2 * (plan.workers + plan.helpers)
