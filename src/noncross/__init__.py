@@ -71,7 +71,7 @@ def _register_lazy(*layers: str) -> None:
 # Registered, not imported at dispatch, so code that reads a layer from
 # sys.modules after importing the CLI still finds it.  LazyLoader is not
 # thread-safe on every supported Python: a layer's first touch belongs in
-# one thread (the CLI's, before any worker starts).
+# one thread (the CLI's, before any trial thread starts).
 _register_lazy("partitions", "series", "freeprob", "coxeter", "complexes", "randmat")
 
 

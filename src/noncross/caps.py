@@ -12,11 +12,15 @@ SERIES_ORDER_CAP = 60
 # coxeter: largest context rank per family, the fixed ceiling that no
 # --rank-cap raises past, the most reduced factorizations one enumeration may
 # list, and the most elements NC(W, c) may hold.  A context holds O(rank)
-# windows, but the first step down from an element that moves every letter
-# builds each reflection that lowers it, up to |T| windows of n letters: at
-# the Coxeter element of B200 (all 40,000 of T) a cold `cox redt` refuses in
-# 0.24 s at 79 MB peak RSS, and the same step at B250 takes 0.37 s at 139 MB
-# in-process, against a budget of 0.5 s and 128 MB on a two-core VM.
+# windows.  A walk down from an element counts each level's lowering
+# reflections as letter triples before it builds any of their windows, so a
+# refused level builds none and an admitted one at most
+# FACTORIZATION_COUNT_CAP windows of n letters; the ceiling bounds n.  On a
+# two-core VM a cold `cox redt` at B200 refuses the Coxeter element (all
+# 40,000 of T lower it) in 0.09-0.12 s at 18 MB peak RSS; a negative
+# 141-cycle, after a first level of 19,881 windows, in 0.40-0.43 s at 50 MB;
+# and a seeded element whose first level holds 15,801 windows, half their
+# letters negative, in 0.43-0.65 s at 88 MB.
 DEFAULT_RANK_CAP = {"A": 7, "B": 5, "D": 5}
 RANK_CAP_CEILING = 200
 FACTORIZATION_COUNT_CAP = 20_000
@@ -28,5 +32,5 @@ ELL_CAP = 16
 TRIALS_CAP = 10_000
 K_CAP = 12
 THREADS_CAP = 64
-# randmat: the most the workers' n x n matrices may hold together, in MiB.
+# randmat: the most the trial threads' n x n matrices may hold together, in MiB.
 RMT_MEMORY_CAP_MIB = 2048

@@ -74,7 +74,7 @@ def _pq(args: argparse.Namespace, check_m) -> tuple[partitions.NCPartition, part
     """--p and --q, or NC(m)'s bottom and top for --m alone.  For m > 1 the
     command's caps, check_m(m), run before either partition is built; NC(1)
     is one point, on which each command's layer decides."""
-    if args.p is not None and args.q is not None:
+    if args.p is not None and args.q is not None and args.m is None:
         return _partition(args.p), _partition(args.q)
     if args.m is not None and args.p is None and args.q is None:
         if args.m < 1:
@@ -380,11 +380,9 @@ def _rmt_verify(args) -> dict:
     spec = randmat.GinibreSpec(
         n=args.n, ell=args.ell, kind=args.kind, trials=args.trials, seed=args.seed
     )
-    # Before numpy loads: BLAS threads times trial threads (workers and
-    # helpers) should not exceed the cores, or BLAS pools spin against the
-    # other threads.
-    plan = randmat.thread_plan(args.threads, spec.trials)
-    os.environ.update(randmat.blas_thread_budget(plan, os.environ, sys.modules))
+    # Before numpy loads: BLAS threads times trial threads should not exceed
+    # the cores, or BLAS pools spin against the other threads.
+    os.environ.update(randmat.blas_thread_budget(args.threads, spec.trials, os.environ, sys.modules))
     estimates = randmat.estimate_moments(spec, args.k, threads=args.threads)
     max_z = max(e.z_score for e in estimates)
     return {

@@ -12,7 +12,7 @@ Reflection length is Carter's closed form l_T(w) = codim Fix(w): the letters
 minus the cycles of |w| with an even number of sign changes.  NC(W, c) and the
 reduced factorizations are walked down from c one reflection at a time, and
 each step reads its lowering reflections off the signed cycle type (see
-`_lowering`), trying only the reflections on the letters the element moves
+`_lowering_pairs`), trying only the reflections on the letters the element moves
 instead of every t in T, so no query builds W or T.
 One walk over the length levels of [1, w] (`_levels`) lists NC(W, c) and
 counts the reduced factorizations of an arbitrary w, which bounds their
@@ -46,7 +46,7 @@ Window = tuple[int, ...]
 
 def mul(u: Window, v: Window) -> Window:
     """Compose windows: (u v)(i) = u(v(i)) (v acts first)."""
-    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
+    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
 
 
 def inv(w: Window) -> Window:
@@ -217,8 +217,9 @@ def _name(t: Window) -> str:
     return f"t({i})" if j == -i else f"t({i},{abs(j)},{'+-'[j < 0]})"
 
 
-def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:
-    """The reflections t with l_T(t u) < l_T(u), in reflection order.
+def _lowering_pairs(family: str, u: Window) -> list[tuple[int, int, int]]:
+    """The reflections t with l_T(t u) < l_T(u), in reflection order, as the
+    (i, j, sign) of `_letter_pairs`; no window is built.
 
     t u joins the cycles of i and j, or splits their common cycle, and
     l_T = n - #(positive cycles), so one walk over u decides every t:
@@ -231,15 +232,20 @@ def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:
     cycle, eps, cycles = _cycle_walk(u)
     negative = [neg for _, neg in cycles]
     out = []
-    for i, j, sign in _letter_pairs(ctx.family, (i for i, x in enumerate(u) if x != i + 1)):
+    for i, j, sign in _letter_pairs(family, (i for i, x in enumerate(u) if x != i + 1)):
         a = cycle[i]
         if j < 0 or a != cycle[j]:
             lowers = negative[a] and (j < 0 or negative[cycle[j]])
         else:
             lowers = negative[a] or sign == eps[i] * eps[j]
         if lowers:
-            out.append(_reflection(ctx.n, i, j, sign))
+            out.append((i, j, sign))
     return out
+
+
+def _lowering(ctx: CoxeterContext, u: Window) -> list[Window]:
+    """The windows of the reflections that lower u (`_lowering_pairs`)."""
+    return [_reflection(ctx.n, *t) for t in _lowering_pairs(ctx.family, u)]
 
 
 def absolute_length(ctx: CoxeterContext, w: Window) -> int:
@@ -262,25 +268,29 @@ def _levels(ctx: CoxeterContext, w: Window, cap: int | None = None) -> Iterator[
     of it, one length at a time; the last level is {identity: |Red_T(w)|}.
     Every element of [1, w] has a reduced factorization, so the chains
     counted into a level so far bound |Red_T(w)| from below, and the walk
-    stops as soon as they pass cap, before the level is complete.
+    stops as soon as they pass cap.  Each level's steps are counted as
+    letter triples (`_lowering_pairs`) before any of their windows is
+    built, so a refused level builds none.
     """
     level = {w: 1}
     while level:
         yield level
-        below: dict[Window, int] = {}
+        steps = []
         total = 0
         for u, chains in level.items():
-            lowering = _lowering(ctx, u)
+            lowering = _lowering_pairs(ctx.family, u)
             total += chains * len(lowering)
             if cap is not None and total > cap:
                 raise ResourceCapExceeded(
                     f"factorization enumeration capped at {cap} factorizations, "
                     f"element has at least {total}"
                 )
+            steps.append((u, chains, lowering))
+        level = {}
+        for u, chains, lowering in steps:
             for t in lowering:
-                v = mul(t, u)
-                below[v] = below.get(v, 0) + chains
-        level = below
+                v = mul(_reflection(ctx.n, *t), u)
+                level[v] = level.get(v, 0) + chains
 
 
 class Invariants(NamedTuple):
@@ -369,23 +379,15 @@ def _reduced_descent(ctx: CoxeterContext, w: Window) -> Iterator[tuple[Window, .
             yield (t, *rest)
 
 
-def hurwitz_act(
-    f: tuple[Window, ...], i: int, inverse: bool = False
-) -> tuple[Window, ...]:
-    """The braid move at position i (0-based) on a reflection tuple.
-
-    Forward: (..., a, b, ...) -> (..., a^{-1} b a, a, ...); the inverse move
-    is (..., a, b, ...) -> (..., b, b a b^{-1}, ...).  Both preserve the
-    ordered product.
+def hurwitz_act(f: tuple[Window, ...], i: int) -> tuple[Window, ...]:
+    """The braid move at position i (0-based) on a reflection tuple:
+    (..., a, b, ...) -> (..., a^{-1} b a, a, ...).  It preserves the ordered
+    product.
     """
     if not 0 <= i < len(f) - 1:
         raise FormatError(f"move position {i} outside 0..{len(f) - 2}")
     a, b = f[i], f[i + 1]
-    if inverse:
-        pair = (b, mul(mul(b, a), b))
-    else:
-        pair = (mul(mul(a, b), a), a)
-    return f[:i] + pair + f[i + 2 :]
+    return f[:i] + (mul(mul(a, b), a), a) + f[i + 2 :]
 
 
 def hurwitz_orbits(ctx: CoxeterContext, w: Window) -> list[list[ReflectionFactorization]]:
@@ -394,19 +396,15 @@ def hurwitz_orbits(ctx: CoxeterContext, w: Window) -> list[list[ReflectionFactor
     Returns the orbits sorted by size (largest first), each orbit sorted;
     the union is exactly red_t_factorizations(w).  The orbits are walked on
     the factor tuples, and each factorization is wrapped once, for output.
+    Only forward moves are taken: each braid generator permutes the finite
+    set Red_T(w), so a set closed under it is closed under its inverse.
     """
     w = ctx.check_element(w)
     _red_t_count(ctx, w)
     pending = set(_reduced_descent(ctx, w))
     orbits: list[list[ReflectionFactorization]] = []
-
-    def moves(f: tuple[Window, ...]) -> Iterator[tuple[Window, ...]]:
-        for i in range(len(f) - 1):
-            yield hurwitz_act(f, i)
-            yield hurwitz_act(f, i, inverse=True)
-
     while pending:
-        orbit = _closure([next(iter(pending))], moves)
+        orbit = _closure([next(iter(pending))], lambda f: (hurwitz_act(f, i) for i in range(len(f) - 1)))
         pending -= orbit
         orbits.append([ReflectionFactorization(ctx, f) for f in sorted(orbit)])
     orbits.sort(key=lambda o: (-len(o), o[0].factors))

@@ -27,14 +27,14 @@ and every BLAS thread setting.  NumPy is imported inside the functions that
 use it, so importing this module (and the CLI) does not load it.
 
 Trial i runs on trial thread i mod t, and each thread returns its rows to
-be put back in trial order.  ``thread_plan`` decides the t threads: the
-w = min(threads, trials) workers, plus a helper for each worker while the
-workers leave cores idle and trials are left over for it, and the BLAS
-threads of each, an equal share of the cores.  Every trial thread runs the
-same loop: it opens the trial's substream, draws the trial's Ginibre factors
-(ell of them for a product, one for a power) and forms W, a = W W*, the half
-powers and the traces.  When a trial raises, every thread stops before its
-next trial.
+be put back in trial order.  ``trial_threads`` counts the t threads: the
+w = min(threads, trials) that ``threads`` asks for, and up to w more while
+the cores and the trials leave room for them, so
+t = max(w, min(2w, cores, trials)).  Each gets an equal share of the cores
+for its BLAS.  Every trial thread runs the same loop: it opens the trial's
+substream, draws the trial's Ginibre factors (ell of them for a product,
+one for a power) and forms W, a = W W*, the half powers and the traces.
+When a trial raises, every thread stops before its next trial.
 
 Every n x n array a trial thread touches is allocated once per thread and
 reused by every trial: a pool of three complex matrices, 16 n^2 bytes each.
@@ -48,9 +48,10 @@ Besides the pool a thread holds at most a quarter matrix, so the cap counts
 Caps bound one trial's memory and a run's time: n <= 1024 keeps each complex
 matrix at 16 MiB, so a trial thread holds at most 64 MiB; ell <= 16 and
 k <= 12 bound a trial to 21 matrix products, and trials <= 10,000 bound the
-run.  threads <= 64 bounds the workers, and the joint cap RMT_MEMORY_CAP_MIB
-bounds trial threads x 4 x 16 n^2 bytes, so 64 threads run only up to
-n = 724 and 32 at n = 1024, never the 4 GiB that 64 threads would hold there.
+run.  threads <= 64 bounds the threads asked for, and the joint cap
+RMT_MEMORY_CAP_MIB bounds trial threads x 4 x 16 n^2 bytes, so 64 threads
+run only up to n = 724 and 32 at n = 1024, never the 4 GiB that 64 threads
+would hold there.
 """
 
 from __future__ import annotations
@@ -142,20 +143,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(trial))
 
 
-def sample_ginibre(
-    n: int, rng: np.random.Generator, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def sample_ginibre(n: int, rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """One N x N complex Ginibre matrix with entry variance 1/N, written into
     ``out`` (n x n complex).  The real parts are drawn first, then the
     imaginary parts, each into ``scratch`` (n x n float) and scaled by
-    1/sqrt(2N) as it is written to ``out``.  Either array is allocated when
-    not given."""
+    1/sqrt(2N) as it is written to ``out``."""
     import numpy as np
 
-    if out is None:
-        out = np.empty((n, n), dtype=complex)
-    if scratch is None:
-        scratch = np.empty((n, n))
     scale = 1.0 / np.sqrt(2 * n)
     np.multiply(rng.standard_normal(out=scratch), scale, out=out.real)
     np.multiply(rng.standard_normal(out=scratch), scale, out=out.imag)
@@ -249,42 +243,30 @@ def _nproc() -> int:
     return os.cpu_count() or 1
 
 
-class ThreadPlan(NamedTuple):
-    """How a run uses the cores: ``workers`` threads for ``--threads`` and
-    ``helpers`` more on the cores they leave idle.  Every one of these trial
-    threads runs whole trials with ``blas`` BLAS threads."""
-
-    workers: int
-    helpers: int
-    blas: int
-
-
-def thread_plan(threads: int, trials: int) -> ThreadPlan:
-    """Workers for ``threads`` on ``trials`` trials, a helper for each worker
-    while cores are idle and trials are left over for it, and an equal share
-    of the cores for each trial thread's BLAS (at least 1)."""
+def trial_threads(threads: int, trials: int) -> int:
+    """The trial threads of a run: the w = min(threads, trials) asked for,
+    and up to w more while cores are idle and trials are left over for
+    them.  Each runs whole trials."""
     if threads < 1:
         raise FormatError("threads must be >= 1")
     _check_cap("threads", threads, THREADS_CAP)
-    cores = _nproc()
-    workers = min(threads, trials)
-    helpers = max(0, min(workers, cores - workers, trials - workers))
-    return ThreadPlan(workers, helpers, max(1, cores // (workers + helpers)))
+    w = min(threads, trials)
+    return max(w, min(2 * w, _nproc(), trials))
 
 
 def blas_thread_budget(
-    plan: ThreadPlan, environ: Mapping[str, str], modules: Mapping[str, object]
+    threads: int, trials: int, environ: Mapping[str, str], modules: Mapping[str, object]
 ) -> dict[str, str]:
-    """The BLAS thread variables to set to ``plan.blas``.  Empty once numpy
-    is loaded (BLAS reads them only at load); a variable already in
-    ``environ`` is left to the user."""
+    """The BLAS thread variables to set to each trial thread's equal share
+    of the cores (at least 1).  Empty once numpy is loaded (BLAS reads them
+    only at load); a variable already in ``environ`` is left to the user."""
+    blas = max(1, _nproc() // trial_threads(threads, trials))
     if "numpy" in modules:
         return {}
-    return {var: str(plan.blas) for var in BLAS_THREAD_VARS if var not in environ}
+    return {var: str(blas) for var in BLAS_THREAD_VARS if var not in environ}
 
 
-def _check_memory(spec: GinibreSpec, plan: ThreadPlan) -> None:
-    threads = plan.workers + plan.helpers
+def _check_memory(spec: GinibreSpec, threads: int) -> None:
     held = threads * MATRICES_PER_THREAD * spec.n**2 * 16
     if held > RMT_MEMORY_CAP_MIB << 20:
         raise ResourceCapExceeded(
@@ -298,19 +280,19 @@ def estimate_moments(
 ) -> list[MomentEstimate]:
     """Trial-averaged moments of W W* for k = 1..k_max, with standard errors
     and the exact rational targets from the moment calculus.  Trial i runs on
-    trial thread i mod (workers + helpers).  When a trial raises, every
-    thread stops before its next trial, and the exception is raised here (the
-    first failed thread's, in thread order, if more than one fails)."""
+    trial thread i mod ``trial_threads(threads, spec.trials)``.  When a trial
+    raises, every thread stops before its next trial, and the exception is
+    raised here (the first failed thread's, in thread order, if more than
+    one fails)."""
     if k_max < 1:
         raise FormatError("k_max must be >= 1")
     _check_cap("k", k_max, K_CAP)
-    plan = thread_plan(threads, spec.trials)
-    _check_memory(spec, plan)
+    count = trial_threads(threads, spec.trials)
+    _check_memory(spec, count)
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
 
     targets = free_bessel_moments(spec.ell, k_max)
-    count = plan.workers + plan.helpers
     stop = threading.Event()
     with ThreadPoolExecutor(count) as pool:
         parts = list(pool.map(lambda i: _rows(spec, k_max, range(i, spec.trials, count), stop), range(count)))

@@ -22,6 +22,7 @@ from noncross.coxeter import (
     _reflection_length,
     dual_braid_relations,
     generated_subgroup,
+    hurwitz_act,
     identity,
     inv,
     mul,
@@ -698,6 +699,32 @@ def moves_covered_by_scan(ctx, c) -> bool:
     return all(f[i : i + 2] in pairs for f in descent_by_filter(ctx, c) for i in range(len(f) - 1))
 
 
+def hurwitz_act_inverse(f: tuple, i: int) -> tuple:
+    """The inverse of the braid move at position i (0-based):
+    (..., a, b, ...) -> (..., b, b a b^{-1}, ...)."""
+    a, b = f[i], f[i + 1]
+    return f[:i] + (b, mul(mul(b, a), b)) + f[i + 2 :]
+
+
+def two_sided_hurwitz_orbits(factorizations) -> set[frozenset]:
+    """The orbits of the braid moves and their inverses on a set of factor
+    tuples closed under both, each as a frozenset of tuples."""
+    pending, orbits = set(factorizations), set()
+    while pending:
+        todo = [pending.pop()]
+        orbit = set(todo)
+        while todo:
+            f = todo.pop()
+            for i in range(len(f) - 1):
+                for g in (hurwitz_act(f, i), hurwitz_act_inverse(f, i)):
+                    if g not in orbit:
+                        orbit.add(g)
+                        todo.append(g)
+        pending -= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
 def pairwise_lattice_check(elems: list) -> bool:
     """Whether the absolute order on elems is a lattice, by the definition:
     some element lies above all, and for every pair the common lower bounds
@@ -885,12 +912,16 @@ def matmul_trial_moments(spec, k_max: int, trial: int):
     from noncross.randmat import sample_ginibre, trial_rng
 
     rng = trial_rng(spec.seed, trial)
+
+    def draw():
+        return sample_ginibre(spec.n, rng, np.empty((spec.n, spec.n), dtype=complex), np.empty((spec.n, spec.n)))
+
     if spec.kind == "product":
-        w = sample_ginibre(spec.n, rng)
+        w = draw()
         for _ in range(spec.ell - 1):
-            w = w @ sample_ginibre(spec.n, rng)
+            w = w @ draw()
     else:
-        w = np.linalg.matrix_power(sample_ginibre(spec.n, rng), spec.ell)
+        w = np.linalg.matrix_power(draw(), spec.ell)
     a = w @ w.conj().T
     out = np.empty(k_max)
     power = np.eye(spec.n, dtype=complex)

@@ -113,6 +113,8 @@ def test_bad_input_exits_2(argv):
         ["nc", "mobius", "--m", "0"],
         ["topo", "euler", "--m", "0"],
         ["topo", "chains", "--m", "0"],
+        ["nc", "mobius", "--p", "1|2", "--q", "1 2", "--m", "2"],  # --m beside --p and --q
+        ["topo", "euler", "--p", "1|2", "--q", "1 2", "--m", "2"],
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "0"],
         ["free", "law", "--name", "free-bessel", "--ell", "2", "--order", "-2"],
         ["free", "law", "--name", "free-poisson", "--ell", "3", "--order", "3"],  # --ell without free-bessel
@@ -595,8 +597,8 @@ def test_only_printed_free_values_must_be_printable(argv, values, capsys):
 def test_rmt_output_is_independent_of_worker_and_blas_threads():
     # n = 128 is large enough that a threaded BLAS level-1 reduction would
     # split its sum, so a reduction that went through one would show here.
-    # On two cores one worker runs beside a helper thread, while three
-    # workers are more than the cores and run none.
+    # On two cores --threads 1 and 2 each run two trial threads, and
+    # --threads 3 runs three, more than the cores.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in randmat.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = src

@@ -29,6 +29,7 @@ from helpers import (
     dual_braid_relations_by_scan,
     fixed_space,
     generates_the_group,
+    hurwitz_act_inverse,
     lowering_by_filter,
     moves_covered_by_scan,
     name_of,
@@ -40,6 +41,7 @@ from helpers import (
     reflection_by_name,
     reflections,
     root_of,
+    two_sided_hurwitz_orbits,
 )
 from noncross import coxeter as C
 from noncross.caps import FACTORIZATION_COUNT_CAP, NC_SET_COUNT_CAP
@@ -162,6 +164,28 @@ def test_a_context_builds_no_reflection_table_until_one_is_read():
     assert C._lowering(context, u) == [u]
     assert "reflections" not in vars(context) and "name_of" not in vars(context)
     assert all(len(v) <= 2 * context.n for v in vars(context).values() if hasattr(v, "__len__"))
+
+
+def test_a_refused_walk_builds_no_reflection(monkeypatch):
+    # All 40,000 reflections of B200 lower its Coxeter element, twice the
+    # factorization cap: the count walk counts them as letter triples and
+    # refuses before it builds a window.  A negative 100-cycle admits its
+    # first level, 100^2 windows, and refuses its second without building
+    # one of that level's.
+    context = C.CoxeterContext("B", 200, rank_cap=200)
+    built, reflection = [], C._reflection
+
+    def counted(*args):
+        built.append(args)
+        return reflection(*args)
+
+    monkeypatch.setattr(C, "_reflection", counted)
+    with pytest.raises(ResourceCapExceeded, match="at least 40000$"):
+        C.red_t_factorizations(context, context.coxeter_element)
+    assert not built
+    with pytest.raises(ResourceCapExceeded, match="at least 28818$"):
+        C.red_t_factorizations(context, (*range(2, 101), -1, *range(101, 201)))
+    assert len(built) == 100**2
 
 
 @pytest.mark.parametrize(
@@ -530,7 +554,7 @@ def test_braid_move_preserves_product_and_inverts():
         tup = f.factors
         for i in range(len(tup) - 1):
             moved = C.hurwitz_act(tup, i)
-            back = C.hurwitz_act(moved, i, inverse=True)
+            back = hurwitz_act_inverse(moved, i)
             assert back == tup
             prod = C.ReflectionFactorization(context, moved).product()
             assert prod == context.coxeter_element
@@ -556,6 +580,27 @@ def test_braid_action_is_transitive_on_coxeter_factorizations(family, rk):
         C.red_t_factorizations(context, context.coxeter_element)
     )
     assert_orbits_partition_the_filtered_descent(context, context.coxeter_element, orbits)
+
+
+def hurwitz_cases():
+    """The Coxeter elements of A6, B3-B5, D4 and D5, -1 in B3, B4 and D4, and
+    30 seeded elements each of B4, D4 and B5."""
+    for family, rk in [("A", 6), ("B", 3), ("B", 4), ("B", 5), ("D", 4), ("D", 5)]:
+        yield ctx(family, rk), ctx(family, rk).coxeter_element
+    for family, rk in [("B", 3), ("B", 4), ("D", 4)]:
+        yield ctx(family, rk), tuple(-i for i in range(1, rk + 1))
+    for family, rk in [("B", 4), ("D", 4), ("B", 5)]:
+        for w in random.Random(f"hurwitz {family}{rk}").sample(ctx(family, rk).elements, 30):
+            yield ctx(family, rk), w
+
+
+def test_forward_moves_reach_the_two_sided_orbits():
+    # Each braid move permutes the finite set Red_T(w), so the orbits walked
+    # by forward moves alone are closed under the inverse moves too.  (That
+    # they cover Red_T(w) is checked against the filtered descent.)
+    for context, w in hurwitz_cases():
+        forward = {frozenset(f.factors for f in orbit) for orbit in C.hurwitz_orbits(context, w)}
+        assert forward == two_sided_hurwitz_orbits(set().union(*forward)), (context, w)
 
 
 def test_braid_orbits_of_minus_identity_in_d4():

@@ -46,16 +46,17 @@ def test_inputs_over_the_caps_are_refused_before_sampling(monkeypatch):
         R.estimate_moments(spec, R.K_CAP + 1)
     with pytest.raises(ResourceCapExceeded):
         R.estimate_moments(spec, 2, threads=R.THREADS_CAP + 1)
-    # The joint cap on the trial threads' matrices: on 4 cores 32 workers
-    # run no helper, and at n = 1024 they hold 32 x 4 x 16 MiB = 2048 MiB;
-    # one more thread is refused.
+    # The joint cap on the trial threads' matrices: on 4 cores --threads 32
+    # runs 32 trial threads, and at n = 1024 they hold
+    # 32 x 4 x 16 MiB = 2048 MiB; one more thread is refused.
     monkeypatch.setattr(R, "_nproc", lambda: 4)
     big = R.GinibreSpec(**{**base, "n": R.N_CAP, "trials": 50})
-    R._check_memory(big, R.thread_plan(32, big.trials))
+    R._check_memory(big, R.trial_threads(32, big.trials))
     with pytest.raises(ResourceCapExceeded, match=r"threads x matrices x n\^2 x 16 bytes = 33 x 4"):
         R.estimate_moments(big, 2, threads=33)
-    # Only the threads that run count: 64 threads on 4 trials are 4 workers.
-    R._check_memory(R.GinibreSpec(**{**base, "n": R.N_CAP}), R.thread_plan(R.THREADS_CAP, 4))
+    # Only the threads that run count: 64 threads on 4 trials are 4 trial
+    # threads.
+    R._check_memory(R.GinibreSpec(**{**base, "n": R.N_CAP}), R.trial_threads(R.THREADS_CAP, 4))
 
 
 def test_z_score_conventions():
@@ -82,7 +83,8 @@ def test_trial_streams_are_reproducible_and_disjoint():
 def test_ginibre_entry_scale():
     rng = R.trial_rng(777, 0)
     n = 48
-    frob = [np.linalg.norm(R.sample_ginibre(n, rng)) ** 2 for _ in range(64)]
+    out, scratch = np.empty((n, n), dtype=complex), np.empty((n, n))
+    frob = [np.linalg.norm(R.sample_ginibre(n, rng, out, scratch)) ** 2 for _ in range(64)]
     # E ||W||_F^2 = n; the seeded average lands close
     assert abs(np.mean(frob) - n) < 1.0
 
@@ -149,14 +151,14 @@ def test_half_power_kernel_matches_the_full_power_oracle(kind, ell, n):
             np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("on_helper", [False, True])
+@pytest.mark.parametrize("on_pool", [False, True])
 @pytest.mark.parametrize("kind", R.KINDS)
 @pytest.mark.parametrize("ell", [1, 2, 5])
 @pytest.mark.parametrize("k_max", [4, R.K_CAP])
-def test_a_worker_allocates_at_most_its_counted_matrices(k_max, ell, kind, on_helper):
+def test_a_worker_allocates_at_most_its_counted_matrices(k_max, ell, kind, on_pool):
     # tracemalloc sees numpy's array data in every thread.  The warm-up call
     # keeps the first call's imports out of the peak.  A trial thread, run
-    # here on the caller's thread or on a pool thread as a helper is, holds
+    # here on the caller's thread or on a pool thread as in a run, holds
     # its pool of three matrices and less than one more, so
     # MATRICES_PER_THREAD is neither short nor loose.
     n = 64
@@ -164,10 +166,10 @@ def test_a_worker_allocates_at_most_its_counted_matrices(k_max, ell, kind, on_he
     spec = R.GinibreSpec(n=n, ell=ell, kind=kind, trials=3, seed=ell)
 
     def rows():
-        if not on_helper:
+        if not on_pool:
             return R._rows(spec, k_max, range(3), threading.Event())
-        with ThreadPoolExecutor(1) as helper:
-            return helper.submit(R._rows, spec, k_max, range(3), threading.Event()).result()
+        with ThreadPoolExecutor(1) as executor:
+            return executor.submit(R._rows, spec, k_max, range(3), threading.Event()).result()
 
     rows()
     tracemalloc.start()
@@ -184,7 +186,7 @@ def test_draws_are_scaled_as_they_are_written():
     # Multiplying each part by 1/sqrt(2n) gives the same bits as dividing
     # the assembled complex matrix by sqrt(2n).
     for n in (1, 7, 64):
-        drawn = R.sample_ginibre(n, R.trial_rng(n, 0))
+        drawn = R.sample_ginibre(n, R.trial_rng(n, 0), np.empty((n, n), dtype=complex), np.empty((n, n)))
         rng = R.trial_rng(n, 0)
         want = np.empty((n, n), dtype=complex)
         want.real = rng.standard_normal((n, n))
@@ -205,36 +207,39 @@ def test_kernel_forms_the_oracles_w_at_every_ell(kind):
 
 
 def test_blas_thread_budget_splits_the_cores_and_defers_to_the_user(monkeypatch):
+    def plan(threads, trials):
+        blas = R.blas_thread_budget(threads, trials, {}, {})["OPENBLAS_NUM_THREADS"]
+        return R.trial_threads(threads, trials), int(blas)
+
     monkeypatch.setattr(R, "_nproc", lambda: 4)
-    # (threads, trials) -> (workers, helpers, BLAS threads per trial
-    # thread): a helper per worker while cores are idle, and an equal share
-    # of the cores for every trial thread's BLAS.
-    assert R.thread_plan(1, 50) == (1, 1, 2)
-    assert R.thread_plan(2, 50) == (2, 2, 1)
-    assert R.thread_plan(3, 50) == (3, 1, 1)
-    assert R.thread_plan(8, 50) == (8, 0, 1)
-    # Only the workers that run count, and no helper is left without a trial.
-    assert R.thread_plan(8, 2) == (2, 0, 2)
-    monkeypatch.setattr(R, "_nproc", lambda: 1)
-    assert R.thread_plan(1, 50) == (1, 0, 1)
-    with pytest.raises(FormatError):
-        R.thread_plan(0, 50)
-    plan = R.ThreadPlan(workers=2, helpers=0, blas=2)
-    assert R.blas_thread_budget(plan, {}, {}) == {var: "2" for var in R.BLAS_THREAD_VARS}
+    # (threads, trials) -> (trial threads, BLAS threads per trial thread):
+    # up to twice the threads asked for while cores are idle, and an equal
+    # share of the cores for every trial thread's BLAS.
+    assert plan(1, 50) == (2, 2)
+    assert plan(2, 50) == (4, 1)
+    assert plan(3, 50) == (4, 1)
+    assert plan(8, 50) == (8, 1)
+    # Only the threads that run count, and none is left without a trial.
+    assert plan(8, 2) == (2, 2)
+    assert R.blas_thread_budget(8, 2, {}, {}) == {var: "2" for var in R.BLAS_THREAD_VARS}
     user = {"OMP_NUM_THREADS": "3"}
-    budget = R.blas_thread_budget(plan, user, {})
+    budget = R.blas_thread_budget(8, 2, user, {})
     assert "OMP_NUM_THREADS" not in budget and budget["OPENBLAS_NUM_THREADS"] == "2"
-    assert R.blas_thread_budget(plan, {}, {"numpy": np}) == {}
+    assert R.blas_thread_budget(8, 2, {}, {"numpy": np}) == {}
+    monkeypatch.setattr(R, "_nproc", lambda: 1)
+    assert plan(1, 50) == (1, 1)
+    with pytest.raises(FormatError):
+        R.trial_threads(0, 50)
 
 
 @pytest.mark.parametrize("cores", [1, 4])
 def test_estimates_are_identical_with_and_without_helpers(cores, monkeypatch):
-    # On 4 cores threads 1 and 2 run a helper per worker and threads 3 one
-    # helper for three workers; on 1 core no helper runs.
+    # On 4 cores threads 1, 2 and 3 run 2, 4 and 4 trial threads; on 1 core
+    # as many as asked for.
     monkeypatch.setattr(R, "_nproc", lambda: cores)
     results = []
     for threads in (1, 2, 3):
-        assert (R.thread_plan(threads, 7).helpers > 0) == (cores > 1)
+        assert (R.trial_threads(threads, 7) > threads) == (cores > 1)
         for kind in R.KINDS:
             spec = R.GinibreSpec(n=24, ell=3, kind=kind, trials=7, seed=11)
             results.append((kind, R.estimate_moments(spec, 5, threads=threads)))
@@ -251,7 +256,7 @@ class Boom(Exception):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failed_draw_ends_the_run_and_its_threads(threads, monkeypatch):
     monkeypatch.setattr(R, "_nproc", lambda: 4)
-    assert R.thread_plan(threads, 8).helpers == threads
+    assert R.trial_threads(threads, 8) == 2 * threads
     calls = []
     lock = threading.Lock()
     sample = R.sample_ginibre
@@ -300,9 +305,9 @@ def test_a_failed_multiply_stops_the_helper(threads, monkeypatch):
     # Two trials succeeded and each trial thread failed at most once: every
     # thread stopped after at most two draws instead of drawing the other
     # trials.
-    plan = R.thread_plan(threads, spec.trials)
-    assert len(draws) <= 2 * (plan.workers + plan.helpers)
-    assert len(calls) <= 2 + plan.workers + plan.helpers
+    count = R.trial_threads(threads, spec.trials)
+    assert len(draws) <= 2 * count
+    assert len(calls) <= 2 + count
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -327,6 +332,6 @@ def test_one_failed_trial_stops_every_thread(threads, monkeypatch):
     with pytest.raises(Boom, match="trial 0"):
         R.estimate_moments(spec, 4, threads=threads)
     assert threading.active_count() == before
-    plan = R.thread_plan(threads, spec.trials)
-    assert plan.workers + plan.helpers == 2 * threads
-    assert len(calls) <= 2 * (plan.workers + plan.helpers)
+    count = R.trial_threads(threads, spec.trials)
+    assert count == 2 * threads
+    assert len(calls) <= 2 * count
