@@ -2,7 +2,7 @@
 
 One executable, five command groups::
 
-    noncross nc    {count,list,kreweras,meet,join,mobius,rotate}
+    noncross nc    {count,list,kreweras,rotate,meet,join,mobius}
     noncross free  {m2c,c2m,add,mult,law,clt}
     noncross cox   {ncset,nccount,redt,hurwitz,quasicox,dualrel}
     noncross topo  {euler,chains}
@@ -16,6 +16,9 @@ strings; CSV adds a decimal column.  Partitions use the pipe format
 NONCROSS_CAP environment variable raises or lowers the enumeration cap; the
 series transforms of the free group have a fixed order cap, and ``topo euler``
 a fixed cap on m.
+
+``_GROUPS`` is the one place where a subcommand, its help and its arguments
+are declared: the parser is built from that table.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def _context(args: argparse.Namespace) -> coxeter.CoxeterContext:
 
 
 def _element(ctx: coxeter.CoxeterContext, args: argparse.Namespace) -> tuple[int, ...]:
-    if getattr(args, "element", None) is None:
+    if args.element is None:
         return ctx.coxeter_element
     return ctx.check_element(_window(args.element))
 
@@ -239,80 +242,52 @@ def _free_clt(args) -> dict:
 # cox group.
 
 
-def _cox_ncset(args) -> dict:
+def _cox_head(args, kind: str, key: str, length: bool = False) -> tuple:
+    """The context, the element and the keys every cox payload starts with:
+    kind, family, rank, the element under key and, if asked, its length."""
     ctx = _context(args)
-    c = _element(ctx, args)
+    w = _element(ctx, args)
+    head = {"kind": kind, "family": ctx.family, "rank": ctx.rank, key: list(w)}
+    if length:
+        head["length"] = coxeter.absolute_length(ctx, w)
+    return ctx, w, head
+
+
+def _cox_ncset(args) -> dict:
+    ctx, c, head = _cox_head(args, "cox_ncset", "coxeter_element")
     elems = coxeter.nc_set(ctx, c)
-    return {
-        "kind": "cox_ncset",
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "coxeter_element": list(c),
-        "count": len(elems),
-        "elements": [
-            {"window": list(w), "length": coxeter.absolute_length(ctx, w)} for w in elems
-        ],
-    }
+    elements = [{"window": list(w), "length": coxeter.absolute_length(ctx, w)} for w in elems]
+    return {**head, "count": len(elems), "elements": elements}
 
 
 def _cox_nccount(args) -> dict:
     """|NC(W, c)| = Cat(W), off the degrees of W; `--lattice` adds that
     NC(W, c) is a lattice, a theorem (Bessis 2003; Brady and Watt 2008).
     No element of NC(W, c) is built."""
-    ctx = _context(args)
-    c = coxeter.require_coxeter_element(ctx, _element(ctx, args))
-    out = {
-        "kind": "cox_nccount",
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "coxeter_element": list(c),
-        "count": coxeter.invariants(ctx).catalan,
-    }
+    ctx, c, head = _cox_head(args, "cox_nccount", "coxeter_element")
+    coxeter.require_coxeter_element(ctx, c)
+    out = {**head, "count": coxeter.invariants(ctx).catalan}
     if args.lattice:
         out["lattice_check"] = True
     return out
 
 
 def _cox_redt(args) -> dict:
-    ctx = _context(args)
-    w = _element(ctx, args)
+    ctx, w, head = _cox_head(args, "cox_redt", "element", length=True)
     facts = coxeter.red_t_factorizations(ctx, w)
-    return {
-        "kind": "cox_redt",
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "element": list(w),
-        "length": coxeter.absolute_length(ctx, w),
-        "count": len(facts),
-        "factorizations": [list(f.names()) for f in facts],
-    }
+    return {**head, "count": len(facts), "factorizations": [list(f.names()) for f in facts]}
 
 
 def _cox_hurwitz(args) -> dict:
-    ctx = _context(args)
-    w = _element(ctx, args)
-    orbits = coxeter.hurwitz_orbits(ctx, w)
-    return {
-        "kind": "cox_hurwitz",
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "element": list(w),
-        "length": coxeter.absolute_length(ctx, w),
-        "factorizations": sum(len(o) for o in orbits),
-        "orbit_sizes": [len(o) for o in orbits],
-        "transitive": len(orbits) == 1,
-    }
+    ctx, w, head = _cox_head(args, "cox_hurwitz", "element", length=True)
+    sizes = [len(o) for o in coxeter.hurwitz_orbits(ctx, w)]
+    return {**head, "factorizations": sum(sizes), "orbit_sizes": sizes, "transitive": len(sizes) == 1}
 
 
 def _cox_quasicox(args) -> dict:
-    ctx = _context(args)
-    w = _element(ctx, args)
+    ctx, w, head = _cox_head(args, "cox_quasicox", "element", length=True)
     return {
-        "kind": "cox_quasicox",
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "element": list(w),
-        "length": coxeter.absolute_length(ctx, w),
+        **head,
         "quasi_coxeter": coxeter.is_quasi_coxeter(ctx, w),
         "coxeter": coxeter.is_coxeter_element(ctx, w),
         "parabolic_quasi_coxeter": coxeter.is_parabolic_quasi_coxeter(ctx, w),
@@ -320,22 +295,16 @@ def _cox_quasicox(args) -> dict:
 
 
 def _cox_dualrel(args) -> dict:
-    ctx = _context(args)
-    c = _element(ctx, args)
+    ctx, c, head = _cox_head(args, "cox_dualrel", "coxeter_element")
     report = coxeter.dual_braid_relation_check(ctx, c)
+    relations = report["relations"]
     return {
-        "kind": "cox_dualrel",
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "coxeter_element": list(c),
-        "relations": len(report["relations"]),
+        **head,
+        "relations": len(relations),
         "factorizations": report["factorizations"],
         "orbits": report["orbits"],
         "moves_covered": report["moves_covered"],
-        "items": [
-            [coxeter._name(s), coxeter._name(t), coxeter._name(tp)]
-            for s, t, tp in report["relations"]
-        ],
+        "items": [[coxeter._name(s), coxeter._name(t), coxeter._name(tp)] for s, t, tp in relations],
     }
 
 
@@ -361,15 +330,7 @@ def _topo_euler(args) -> dict:
 
 def _topo_chains(args) -> dict:
     census = complexes.chain_census(args.m)
-    return {
-        "kind": "topo_chains",
-        "m": census["m"],
-        "maximal_chains": census["maximal_chains"],
-        "lengths": {str(k): v for k, v in census["lengths"].items()},
-        "graded": census["graded"],
-        "rank_steps_ok": census["rank_steps_ok"],
-        "all_elements_on_maximal_chains": census["all_elements_on_maximal_chains"],
-    }
+    return {"kind": "topo_chains", **census, "lengths": {str(k): v for k, v in census["lengths"].items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +360,77 @@ def _rmt_verify(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly and rendering.
+# The leaf table, parser assembly and rendering.
+
+_M = (("--m", {"type": int, "required": True}),)
+_P = (("--p", {"required": True}),)
+_PQ = (*_P, ("--q", {"required": True}))
+_INTERVAL = (
+    ("--p", {}),
+    ("--q", {}),
+    ("--m", {"type": int, "help": "shortcut for the full interval of NC(m)"}),
+)
+_AB = (("--a", {"required": True}), ("--b", {"required": True}))
+_COX = (
+    ("--family", {"choices": ("A", "B", "D"), "required": True}),
+    ("--rank", {"type": int, "required": True}),
+    ("--rank-cap", {"type": int}),
+    ("--element", {"help": "JSON window, e.g. [2,-1,3]; default Coxeter element"}),
+)
+
+# group: (help, {leaf: (handler, help, arguments)}), in --help order.
+_GROUPS = {
+    "nc": ("non-crossing partition lattice", {
+        "count": (_nc_count, "|NC(m)| as the Catalan number C_m", _M),
+        "list": (_nc_list, "all of NC(m) in lexicographic order", _M),
+        "kreweras": (_nc_op, "Kreweras complement", _P),
+        "rotate": (_nc_op, "cyclic relabeling i -> i+k", (*_P, ("--k", {"type": int, "default": 1}))),
+        "meet": (_nc_op, "greatest lower bound", _PQ),
+        "join": (_nc_op, "least upper bound (crossing closure)", _PQ),
+        "mobius": (_nc_mobius, "Mobius value of [p, q] in closed form", _INTERVAL),
+    }),
+    "free": ("moment/cumulant calculus", {
+        "m2c": (_free_m2c, "moments to free cumulants",
+                (("--moments", {"required": True, "help": 'comma list, e.g. "1,2,5,14"'}),)),
+        "c2m": (_free_c2m, "free cumulants to moments", (("--cumulants", {"required": True}),)),
+        "add": (_free_add, "additive free convolution of moment lists", _AB),
+        "mult": (_free_mult, "multiplicative free convolution",
+                 (*_AB, ("--route", {"choices": ("kreweras", "stransform"), "default": "stransform"}))),
+        "law": (_free_law, "moments of a named law", (
+            ("--name", {"choices": _LAWS, "required": True}),
+            ("--order", {"type": int, "required": True}),
+            ("--ell", {"type": int}),
+        )),
+        "clt": (_free_clt, "exact moments of a rescaled free sum", (
+            ("--base", {"required": True, "help": "base cumulants, comma list"}),
+            ("--n", {"type": int, "required": True, "help": "number of summands"}),
+            ("--even", {"action": "store_true", "help": "even moments only (rational for any n)"}),
+        )),
+    }),
+    "cox": ("dual Coxeter systems", {
+        "ncset": (_cox_ncset, "the absolute-order ideal below c", _COX),
+        "nccount": (_cox_nccount, "|NC(W, c)| (optionally lattice-check)",
+                    (*_COX, ("--lattice", {"action": "store_true"}))),
+        "redt": (_cox_redt, "reduced reflection factorizations", _COX),
+        "hurwitz": (_cox_hurwitz, "braid-move orbits on factorizations", _COX),
+        "quasicox": (_cox_quasicox, "quasi-Coxeter / parabolic tests", _COX),
+        "dualrel": (_cox_dualrel, "dual braid relations at c", _COX),
+    }),
+    "topo": ("order complexes", {
+        "euler": (_topo_euler, "reduced Euler characteristic vs Mobius", _INTERVAL),
+        "chains": (_topo_chains, "maximal-chain census of NC(m)", _M),
+    }),
+    "rmt": ("random-matrix cross-check", {
+        "verify": (_rmt_verify, "Monte Carlo moments vs exact targets", (
+            ("--kind", {"choices": caps.KINDS, "default": "product"}),
+            ("--ell", {"type": int, "default": 1}),
+            ("--k", {"type": int, "default": 4, "help": "largest moment order"}),
+            ("--n", {"type": int, "default": 256, "help": "matrix size"}),
+            ("--trials", {"type": int, "default": 50}),
+            ("--seed", {"type": int, "default": 0}),
+        )),
+    }),
+}
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -410,147 +441,47 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         prog="noncross",
         description="Exact non-crossing partition, free cumulant and dual Coxeter calculators.",
     )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for Monte Carlo trials"
-    )
     # The same two options are accepted after any subcommand; SUPPRESS keeps a
     # subparser from overwriting a value already parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), default=argparse.SUPPRESS, help="output format"
-    )
-    common.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS, help="worker threads"
-    )
-    groups = parser.add_subparsers(dest="group", required=True)
-    named = next((arg for arg in argv if arg in ("nc", "free", "cox", "topo", "rmt")), None)
-
-    def group_of(name: str, help_text: str):
-        """The leaf subparsers of group name, or None unless argv names it."""
-        sub = groups.add_parser(name, help=help_text)
-        return sub.add_subparsers(dest="command", required=True) if name == named else None
-
-    def leaf(group, name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        """A subcommand of group that runs handler and takes the shared options."""
-        sub = group.add_parser(name, help=help_text, parents=[common])
-        sub.set_defaults(handler=handler)
-        return sub
-
-    if nc := group_of("nc", "non-crossing partition lattice"):
-        sub = leaf(nc, "count", _nc_count, "|NC(m)| as the Catalan number C_m")
-        sub.add_argument("--m", type=int, required=True)
-        sub = leaf(nc, "list", _nc_list, "all of NC(m) in lexicographic order")
-        sub.add_argument("--m", type=int, required=True)
-        sub = leaf(nc, "kreweras", _nc_op, "Kreweras complement")
-        sub.add_argument("--p", required=True)
-        sub = leaf(nc, "rotate", _nc_op, "cyclic relabeling i -> i+k")
-        sub.add_argument("--p", required=True)
-        sub.add_argument("--k", type=int, default=1)
-        sub = leaf(nc, "meet", _nc_op, "greatest lower bound")
-        sub.add_argument("--p", required=True)
-        sub.add_argument("--q", required=True)
-        sub = leaf(nc, "join", _nc_op, "least upper bound (crossing closure)")
-        sub.add_argument("--p", required=True)
-        sub.add_argument("--q", required=True)
-        sub = leaf(nc, "mobius", _nc_mobius, "Mobius value of [p, q] in closed form")
-        sub.add_argument("--p")
-        sub.add_argument("--q")
-        sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
-
-    if free := group_of("free", "moment/cumulant calculus"):
-        sub = leaf(free, "m2c", _free_m2c, "moments to free cumulants")
-        sub.add_argument("--moments", required=True, help='comma list, e.g. "1,2,5,14"')
-        sub = leaf(free, "c2m", _free_c2m, "free cumulants to moments")
-        sub.add_argument("--cumulants", required=True)
-        sub = leaf(free, "add", _free_add, "additive free convolution of moment lists")
-        sub.add_argument("--a", required=True)
-        sub.add_argument("--b", required=True)
-        sub = leaf(free, "mult", _free_mult, "multiplicative free convolution")
-        sub.add_argument("--a", required=True)
-        sub.add_argument("--b", required=True)
-        sub.add_argument("--route", choices=("kreweras", "stransform"), default="stransform")
-        sub = leaf(free, "law", _free_law, "moments of a named law")
-        sub.add_argument("--name", choices=_LAWS, required=True)
-        sub.add_argument("--order", type=int, required=True)
-        sub.add_argument("--ell", type=int)
-        sub = leaf(free, "clt", _free_clt, "exact moments of a rescaled free sum")
-        sub.add_argument("--base", required=True, help="base cumulants, comma list")
-        sub.add_argument("--n", type=int, required=True, help="number of summands")
-        sub.add_argument(
-            "--even", action="store_true", help="even moments only (rational for any n)"
+    for target, fmt, threads in ((parser, "json", 1), (common, argparse.SUPPRESS, argparse.SUPPRESS)):
+        target.add_argument("--format", choices=("json", "csv"), default=fmt, help="output format")
+        target.add_argument(
+            "--threads", type=int, default=threads, help="trial threads to ask for (rmt verify only)"
         )
-
-    if cox := group_of("cox", "dual Coxeter systems"):
-
-        def cox_common(sub: argparse.ArgumentParser) -> None:
-            sub.add_argument("--family", choices=("A", "B", "D"), required=True)
-            sub.add_argument("--rank", type=int, required=True)
-            sub.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
-            sub.add_argument(
-                "--element", help="JSON window, e.g. [2,-1,3]; default Coxeter element"
-            )
-
-        cox_common(leaf(cox, "ncset", _cox_ncset, "the absolute-order ideal below c"))
-        sub = leaf(cox, "nccount", _cox_nccount, "|NC(W, c)| (optionally lattice-check)")
-        cox_common(sub)
-        sub.add_argument("--lattice", action="store_true")
-        cox_common(leaf(cox, "redt", _cox_redt, "reduced reflection factorizations"))
-        cox_common(leaf(cox, "hurwitz", _cox_hurwitz, "braid-move orbits on factorizations"))
-        cox_common(leaf(cox, "quasicox", _cox_quasicox, "quasi-Coxeter / parabolic tests"))
-        cox_common(leaf(cox, "dualrel", _cox_dualrel, "dual braid relations at c"))
-
-    if topo := group_of("topo", "order complexes"):
-        sub = leaf(topo, "euler", _topo_euler, "reduced Euler characteristic vs Mobius")
-        sub.add_argument("--p")
-        sub.add_argument("--q")
-        sub.add_argument("--m", type=int, help="shortcut for the full interval of NC(m)")
-        sub = leaf(topo, "chains", _topo_chains, "maximal-chain census of NC(m)")
-        sub.add_argument("--m", type=int, required=True)
-
-    if rmt := group_of("rmt", "random-matrix cross-check"):
-        sub = leaf(rmt, "verify", _rmt_verify, "Monte Carlo moments vs exact targets")
-        sub.add_argument("--kind", choices=caps.KINDS, default="product")
-        sub.add_argument("--ell", type=int, default=1)
-        sub.add_argument("--k", type=int, default=4, help="largest moment order")
-        sub.add_argument("--n", type=int, default=256, help="matrix size")
-        sub.add_argument("--trials", type=int, default=50)
-        sub.add_argument("--seed", type=int, default=0)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    named = next((arg for arg in argv if arg in _GROUPS), None)
+    for name, (help_text, leaves) in _GROUPS.items():
+        group = groups.add_parser(name, help=help_text)
+        if name != named:
+            continue
+        commands = group.add_subparsers(dest="command", required=True)
+        for leaf, (handler, leaf_help, arguments) in leaves.items():
+            sub = commands.add_parser(leaf, help=leaf_help, parents=[common])
+            sub.set_defaults(handler=handler)
+            for flag, options in arguments:
+                sub.add_argument(flag, **options)
     return parser
 
 
-def _csv_rows(payload: dict) -> list[list]:
+def _csv_rows(payload: dict) -> list:
     kind = payload.get("kind")
     if kind == "sequence":
         orders = payload.get("orders") or range(1, len(payload["values"]) + 1)
-        rows = [["n", "exact", "decimal"]]
-        rows += [
-            [n, v, d]
-            for n, v, d in zip(orders, payload["values"], payload["decimals"])
-        ]
-        return rows
+        return [("n", "exact", "decimal"), *zip(orders, payload["values"], payload["decimals"])]
     if kind == "rmt_report":
-        rows = [["k", "estimate", "stderr", "target", "target_decimal", "z_score"]]
-        rows += [
-            [e["k"], e["estimate"], e["stderr"], e["target"], e["target_decimal"], e["z_score"]]
-            for e in payload["estimates"]
-        ]
-        return rows
+        columns = ("k", "estimate", "stderr", "target", "target_decimal", "z_score")
+        return [columns, *([e[c] for c in columns] for e in payload["estimates"])]
     if kind == "nc_list":
-        return [["index", "partition"]] + [
-            [i, p] for i, p in enumerate(payload["partitions"])
-        ]
+        return [("index", "partition"), *enumerate(payload["partitions"])]
     if kind == "cox_ncset":
-        return [["index", "window", "length"]] + [
-            [i, json.dumps(e["window"]), e["length"]]
-            for i, e in enumerate(payload["elements"])
+        return [
+            ("index", "window", "length"),
+            *((i, json.dumps(e["window"]), e["length"]) for i, e in enumerate(payload["elements"])),
         ]
-    return [["key", "value"]] + [
-        [k, json.dumps(v) if isinstance(v, (dict, list)) else v]
-        for k, v in payload.items()
+    return [
+        ("key", "value"),
+        *((k, json.dumps(v) if isinstance(v, (dict, list)) else v) for k, v in payload.items()),
     ]
 
 

@@ -7,8 +7,11 @@ literal implementations used to cross-check the fast library code.
 
 from __future__ import annotations
 
+import ast
+import io
 import math
 import time
+import tokenize
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -929,3 +932,25 @@ def matmul_trial_moments(spec, k_max: int, trial: int):
         power = power @ a
         out[k - 1] = np.trace(power).real / spec.n
     return out
+
+
+# ---------------------------------------------------------------------------
+# Size of the source: the code lines that the change log counts.
+
+
+def code_lines(text: str) -> int:
+    """The lines of Python source text that hold code: blank lines, comment
+    lines and the lines of docstrings (the leading string of a module,
+    class or function) are not counted."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)

@@ -3,6 +3,9 @@ schema, exit codes map errors as documented, rationals stay exact, and the
 CSV renderings carry an exact column next to the decimal one."""
 
 import ast
+import contextlib
+import csv
+import io
 import json
 import os
 import random
@@ -13,12 +16,15 @@ import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import noncross
-from helpers import budget, moves_covered_by_scan, nc_lattice_check
+from helpers import budget, code_lines, moves_covered_by_scan, nc_lattice_check
 from noncross import caps, cli, coxeter, randmat
 from noncross.caps import SERIES_ORDER_CAP
 
@@ -524,6 +530,19 @@ def test_every_public_name_is_the_object_of_its_defining_module():
         noncross.not_a_public_name
 
 
+# Code lines (helpers.code_lines) of the CLI and of the whole package.  A
+# change that needs more raises the ceiling on purpose and says so in CHANGES.md.
+CLI_CODE_LINE_CEILING = 385
+SRC_CODE_LINE_CEILING = 1405
+
+
+def test_the_source_stays_within_its_code_line_ceilings():
+    package = Path(noncross.__file__).resolve().parent
+    counts = {path: code_lines(path.read_text()) for path in package.rglob("*.py")}
+    assert counts[package / "cli.py"] <= CLI_CODE_LINE_CEILING
+    assert sum(counts.values()) <= SRC_CODE_LINE_CEILING
+
+
 def test_readme_imports_work():
     lines = [ln for ln in README.read_text().splitlines() if ln.startswith("from noncross import ")]
     assert lines
@@ -710,3 +729,93 @@ def test_cox_ncset_csv_lists_windows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,window,length"
     assert len(lines) == 7  # header + |NC(B_2)| = 6
+
+
+# ---------------------------------------------------------------------------
+# A property over the CLI grammar, drawn from the leaf table.
+
+# Integer flags stay small, so that no drawn command runs long or starts more
+# than a few threads; every other integer flag is drawn from -1..8.  The
+# Monte Carlo sizes are always given, since their defaults are large.
+INT_RANGES = {"--rank": (-1, 4), "--rank-cap": (-1, 4), "--trials": (-1, 4), "--seed": (-1, 3)}
+ALWAYS_GIVEN = {("rmt", "--n"), ("rmt", "--trials")}
+JUNK = st.sampled_from(["", "x", "1,,2", "1/0", "1e3", "[", "[1,1]", "[true]", "1 3|2 4", "1|1", "|"])
+
+
+def partition_texts(m: int):
+    """Pipe-format texts of the set partitions of 1..m: crossing or not."""
+    def text(labels: list[int]) -> str:
+        blocks = ([i for i, label in enumerate(labels, 1) if label == b] for b in sorted(set(labels)))
+        return "|".join(" ".join(map(str, block)) for block in blocks)
+
+    return st.lists(st.integers(0, 3), min_size=m, max_size=m).map(text)
+
+
+@st.composite
+def window_texts(draw, n: int) -> str:
+    """A JSON window of n or n + 1 letters (type A of rank n has n + 1),
+    some of them negated."""
+    letters = draw(st.permutations(range(1, n + draw(st.integers(0, 1)) + 1)))
+    return json.dumps([draw(st.sampled_from((1, 1, -1))) * x for x in letters])
+
+
+def rational_lists(order: int):
+    """Comma lists of order small rationals."""
+    rational = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p), st.integers(-3, 3), st.integers(1, 3))
+    return st.lists(rational, min_size=order, max_size=order).map(",".join)
+
+
+def value_strategy(flag: str, options: dict, size: int):
+    """Values for one argument of the table: its choices, a small int, or a
+    valid or junk partition, window or rational list of the argv's size."""
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        low, high = INT_RANGES.get(flag, (-1, 8))
+        return st.integers(low, high).map(str)
+    texts = {"--p": partition_texts, "--q": partition_texts, "--element": window_texts}
+    return texts.get(flag, rational_lists)(size) | JUNK
+
+
+@st.composite
+def argvs(draw, group: str, leaf: str) -> list[str]:
+    """An argv of one leaf: each of its arguments given or left out (a
+    required one mostly given), then the two global options.  Its
+    partitions, windows and lists share one size, so that pairs can agree;
+    in a cox argv that size is the rank."""
+    argv, size = [group, leaf], draw(st.integers(1, 5))
+    for flag, options in cli._GROUPS[group][1][leaf][2]:
+        left_out = st.integers(0, 9).map(lambda x: x == 9) if options.get("required") else st.booleans()
+        if (group, flag) not in ALWAYS_GIVEN and draw(left_out):
+            continue
+        if options.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        value = draw(value_strategy(flag, options, size))
+        if flag == "--rank" and int(value) > 0:
+            size = int(value)  # so that a window drawn after it can be an element
+        argv.append(f"{flag}={value}")
+    argv += ["--format", draw(st.sampled_from(("json", "csv"))), "--threads", str(draw(st.integers(1, 2)))]
+    return argv
+
+
+TABLE_LEAVES = [(group, leaf) for group, (_, leaves) in cli._GROUPS.items() for leaf in leaves]
+
+
+@pytest.mark.parametrize("group,leaf", TABLE_LEAVES, ids=[" ".join(gl) for gl in TABLE_LEAVES])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_drawn_argv_ends_in_a_documented_exit(group, leaf, data):
+    argv = data.draw(argvs(group, leaf))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3) and "Traceback" not in out + err
+    if code:
+        assert out == "" and err.strip()
+    elif "json" in argv:
+        payload = json.loads(out)
+        Draft202012Validator(schema_for(payload["kind"])).validate(payload)
+    else:
+        assert next(csv.reader(io.StringIO(out)))
