@@ -40,11 +40,10 @@ _EXPORTS = {
         "free_poisson_moments", "moments_to_cumulants", "semicircle_moments",
     ),
     "coxeter": (
-        "CoxeterContext", "ReflectionFactorization", "absolute_length", "abs_le",
-        "duality", "hurwitz_orbits", "is_coxeter_element",
-        "is_parabolic_quasi_coxeter", "is_quasi_coxeter", "nc_set",
-        "partition_to_permutation", "permutation_to_partition",
-        "red_t_factorizations",
+        "CoxeterContext", "absolute_length", "abs_le", "duality",
+        "hurwitz_orbits", "is_coxeter_element", "is_parabolic_quasi_coxeter",
+        "is_quasi_coxeter", "nc_set", "partition_to_permutation",
+        "permutation_to_partition", "red_t_factorizations",
     ),
     "complexes": (
         "SimplicialComplex", "chain_census", "order_complex_open_interval",

@@ -46,10 +46,6 @@ class CommandResult(NamedTuple):
 # Argument helpers.
 
 
-def _partition(text: str) -> partitions.NCPartition:
-    return partitions.NCPartition.parse(text)
-
-
 def _window(text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
@@ -78,7 +74,7 @@ def _pq(args: argparse.Namespace, check_m) -> tuple[partitions.NCPartition, part
     command's caps, check_m(m), run before either partition is built; NC(1)
     is one point, on which each command's layer decides."""
     if args.p is not None and args.q is not None and args.m is None:
-        return _partition(args.p), _partition(args.q)
+        return partitions.NCPartition.parse(args.p), partitions.NCPartition.parse(args.q)
     if args.m is not None and args.p is None and args.q is None:
         if args.m < 1:
             raise FormatError("--m must be >= 1")
@@ -153,7 +149,7 @@ _NC_OPS = {
 
 
 def _nc_op(args) -> dict:
-    operands = [_partition(text) for text in (args.p, getattr(args, "q", None)) if text is not None]
+    operands = [partitions.NCPartition.parse(t) for t in (args.p, getattr(args, "q", None)) if t is not None]
     out = {
         "kind": "partition_op",
         "op": args.command,
@@ -275,7 +271,7 @@ def _cox_nccount(args) -> dict:
 def _cox_redt(args) -> dict:
     ctx, w, head = _cox_head(args, "cox_redt", "element", length=True)
     facts = coxeter.red_t_factorizations(ctx, w)
-    return {**head, "count": len(facts), "factorizations": [list(f.names()) for f in facts]}
+    return {**head, "count": len(facts), "factorizations": [list(map(coxeter._name, f)) for f in facts]}
 
 
 def _cox_hurwitz(args) -> dict:

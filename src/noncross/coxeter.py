@@ -69,12 +69,11 @@ class CoxeterContext:
     reflections in order), O(rank) windows in all.  A reflection is a rule
     over a pair of letters (`_letter_pairs`, `_reflection`), and its printed
     name is read off its window (`_name`), so nothing builds the table of T.
-    Nothing of size |W| is built; `elements` generates the group from the
-    simples on first use.
-    Only tests read `elements`, `order` and `generated_subgroup`, but they
-    stay here: the benchmark's tracer reads `ctx.elements` and `ctx.order`
-    in its hooks on this constructor and on `nc_set`, so every traced `cox`
-    run needs them.
+    Nothing of size |W| is built; `elements` closes the simples under
+    multiplication on first use.
+    No query reads `elements` or `order`, but they stay here: the
+    benchmark's tracer reads them in its hooks on this constructor and on
+    `nc_set`, so every traced `cox` run needs them.
     """
 
     def __init__(self, family: str, rank: int, rank_cap: int | None = None):
@@ -107,9 +106,8 @@ class CoxeterContext:
 
     @cached_property
     def elements(self) -> tuple[Window, ...]:
-        """All of W, sorted; no query reads it.  Tests and the benchmark's
-        tracer do, so it stays on the context."""
-        return tuple(sorted(generated_subgroup(self, list(self.simples))))
+        """All of W, sorted."""
+        return tuple(sorted(_closure([identity(self.n)], lambda x: (mul(x, s) for s in self.simples))))
 
     @property
     def order(self) -> int:
@@ -130,22 +128,6 @@ class CoxeterContext:
 
     def __repr__(self) -> str:
         return f"CoxeterContext({self.family}_{self.rank}, |T|={self.rank * invariants(self).coxeter_number // 2})"
-
-
-class ReflectionFactorization(NamedTuple):
-    """A tuple of reflections with their ordered product (leftmost acts last)."""
-
-    ctx: CoxeterContext
-    factors: tuple[Window, ...]
-
-    def product(self) -> Window:
-        out = identity(self.ctx.n)
-        for t in self.factors:
-            out = mul(out, t)
-        return out
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(map(_name, self.factors))
 
 
 def _closure(seeds: Iterable, step: Callable[[object], Iterable]) -> set:
@@ -343,15 +325,17 @@ def duality(ctx: CoxeterContext, x: Window, c: Window | None = None) -> Window:
     return mul(inv(ctx.check_element(x)), c)
 
 
-def red_t_factorizations(ctx: CoxeterContext, w: Window) -> list[ReflectionFactorization]:
-    """All reduced reflection factorizations of w, depth-first in reflection order.
+def red_t_factorizations(ctx: CoxeterContext, w: Window) -> list[tuple[Window, ...]]:
+    """All reduced reflection factorizations of w, each a tuple of reflection
+    windows t_1, ..., t_k with t_1 ... t_k = w (leftmost acts last), listed
+    depth-first in reflection order.
 
     The count walk over [1, w] refuses more than FACTORIZATION_COUNT_CAP of
     them before anything is enumerated.
     """
     w = ctx.check_element(w)
     _red_t_count(ctx, w)
-    return [ReflectionFactorization(ctx, f) for f in _reduced_descent(ctx, w)]
+    return list(_reduced_descent(ctx, w))
 
 
 def _red_t_count(ctx: CoxeterContext, w: Window) -> int:
@@ -390,24 +374,23 @@ def hurwitz_act(f: tuple[Window, ...], i: int) -> tuple[Window, ...]:
     return f[:i] + (mul(mul(a, b), a), a) + f[i + 2 :]
 
 
-def hurwitz_orbits(ctx: CoxeterContext, w: Window) -> list[list[ReflectionFactorization]]:
-    """Orbits of the braid moves on the reduced factorizations of w.
+def hurwitz_orbits(ctx: CoxeterContext, w: Window) -> list[list[tuple[Window, ...]]]:
+    """Orbits of the braid moves on the reduced factorizations of w, as
+    lists of the factor tuples of `red_t_factorizations`.
 
     Returns the orbits sorted by size (largest first), each orbit sorted;
-    the union is exactly red_t_factorizations(w).  The orbits are walked on
-    the factor tuples, and each factorization is wrapped once, for output.
-    Only forward moves are taken: each braid generator permutes the finite
-    set Red_T(w), so a set closed under it is closed under its inverse.
+    the union is exactly red_t_factorizations(w), which checks w and
+    refuses past its cap.  Only forward moves are taken: each braid
+    generator permutes the finite set Red_T(w), so a set closed under it is
+    closed under its inverse.
     """
-    w = ctx.check_element(w)
-    _red_t_count(ctx, w)
-    pending = set(_reduced_descent(ctx, w))
-    orbits: list[list[ReflectionFactorization]] = []
+    pending = set(red_t_factorizations(ctx, w))
+    orbits = []
     while pending:
         orbit = _closure([next(iter(pending))], lambda f: (hurwitz_act(f, i) for i in range(len(f) - 1)))
         pending -= orbit
-        orbits.append([ReflectionFactorization(ctx, f) for f in sorted(orbit)])
-    orbits.sort(key=lambda o: (-len(o), o[0].factors))
+        orbits.append(sorted(orbit))
+    orbits.sort(key=lambda o: (-len(o), o[0]))
     return orbits
 
 
@@ -465,10 +448,6 @@ def is_parabolic_quasi_coxeter(ctx: CoxeterContext, w: Window) -> bool:
     """
     negative = sum(neg for _, neg in _signed_cycle_type(ctx.check_element(w)))
     return negative <= (2 if ctx.family == "D" else 1)
-
-
-def generated_subgroup(ctx: CoxeterContext, gens: list[Window]) -> frozenset[Window]:
-    return frozenset(_closure([identity(ctx.n), *gens], lambda x: (mul(x, g) for g in gens)))
 
 
 # ---------------------------------------------------------------------------

@@ -380,14 +380,11 @@ def _check_m(m: int) -> None:
     _check_cap(m)
 
 
-def _nc_blocklists(m: int) -> Iterable[Blocks]:
-    _check_m(m)
-    return _blocklists(tuple(range(1, m + 1)))
-
-
 def iter_nc(m: int) -> Iterator[NCPartition]:
-    """Stream NC(m) in lexicographic order of canonical block tuples."""
-    for bl in _nc_blocklists(m):
+    """Stream NC(m) in lexicographic order of canonical block tuples; m is
+    checked at the first next()."""
+    _check_m(m)
+    for bl in _blocklists(tuple(range(1, m + 1))):
         yield NCPartition(m, bl)
 
 

@@ -24,7 +24,6 @@ from noncross.coxeter import (
     _reflection,
     _reflection_length,
     dual_braid_relations,
-    generated_subgroup,
     hurwitz_act,
     identity,
     inv,
@@ -636,6 +635,29 @@ def name_of(ctx) -> dict:
 def reflections(ctx) -> tuple:
     """T in reflection order."""
     return tuple(name_of(ctx))
+
+
+def ordered_product(ctx, factors) -> tuple:
+    """t_1 t_2 ... t_k of a factor tuple, leftmost acting last."""
+    out = identity(ctx.n)
+    for t in factors:
+        out = mul(out, t)
+    return out
+
+
+def generated_subgroup(ctx, gens) -> frozenset:
+    """The subgroup the windows gens generate, by closing the identity under
+    right multiplication by each of them."""
+    seen = {identity(ctx.n)}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
 
 
 @cache

@@ -28,6 +28,7 @@ from helpers import (
     descent_by_filter,
     dual_braid_relations_by_scan,
     fixed_space,
+    generated_subgroup,
     generates_the_group,
     hurwitz_act_inverse,
     lowering_by_filter,
@@ -36,6 +37,7 @@ from helpers import (
     nc_all,
     nc_lattice_check,
     nc_scan,
+    ordered_product,
     pairwise_lattice_check,
     pointwise_stabilizer,
     reflection_by_name,
@@ -203,7 +205,7 @@ def test_printed_names_build_no_reflection_table():
     w = list(range(1, 201))
     for i in range(0, 14, 2):
         w[i], w[i + 1] = w[i + 1], w[i]
-    names = {name for f in C.red_t_factorizations(context, tuple(w)) for name in f.names()}
+    names = {name for f in C.red_t_factorizations(context, tuple(w)) for name in map(C._name, f)}
     assert names == {f"t({i},{i + 1},+)" for i in range(1, 14, 2)}
     assert "reflections" not in vars(context) and "name_of" not in vars(context)
     assert all(len(v) <= 2 * context.n for v in vars(context).values() if hasattr(v, "__len__"))
@@ -484,11 +486,11 @@ def test_reduced_factorization_counts_of_coxeter_elements(family, rk, count):
     assert len(facts) == count
     t_set = set(reflections(context))
     for f in facts:
-        assert f.product() == context.coxeter_element
-        assert len(f.factors) == rk
-        assert set(f.factors) <= t_set
+        assert ordered_product(context, f) == context.coxeter_element
+        assert len(f) == rk
+        assert set(f) <= t_set
         partial = C.identity(context.n)
-        for i, t in enumerate(reversed(f.factors), start=1):
+        for i, t in enumerate(reversed(f), start=1):
             partial = C.mul(t, partial)
         assert partial == context.coxeter_element
 
@@ -533,7 +535,7 @@ def test_reduced_factorizations_match_the_filtered_descent(family):
     context = ctx(family, 4)
     for w in random.Random(f"descent {family}").sample(context.elements, 50):
         facts = C.red_t_factorizations(context, w)
-        assert [f.factors for f in facts] == list(descent_by_filter(context, w)), w
+        assert facts == list(descent_by_filter(context, w)), w
         assert chain_count(context, w) == len(facts), w
 
 
@@ -551,22 +553,21 @@ def test_braid_move_preserves_product_and_inverts():
     facts = C.red_t_factorizations(context, context.coxeter_element)
     rng = random.Random(2)
     for f in facts:
-        tup = f.factors
-        for i in range(len(tup) - 1):
-            moved = C.hurwitz_act(tup, i)
+        for i in range(len(f) - 1):
+            moved = C.hurwitz_act(f, i)
             back = hurwitz_act_inverse(moved, i)
-            assert back == tup
-            prod = C.ReflectionFactorization(context, moved).product()
+            assert back == f
+            prod = ordered_product(context, moved)
             assert prod == context.coxeter_element
     with pytest.raises(FormatError):
-        C.hurwitz_act(facts[0].factors, 5)
+        C.hurwitz_act(facts[0], 5)
 
 
 def assert_orbits_partition_the_filtered_descent(context, w, orbits) -> None:
     # A braid move keeps a reduced factorization reduced (it preserves the
     # product and the number of factors), so the orbits partition Red_T(w).
     descent = set(descent_by_filter(context, w))
-    sets = [{f.factors for f in orbit} for orbit in orbits]
+    sets = [set(orbit) for orbit in orbits]
     assert all(orbit <= descent for orbit in sets)
     assert set().union(*sets) == descent and sum(map(len, sets)) == len(descent)
 
@@ -599,7 +600,7 @@ def test_forward_moves_reach_the_two_sided_orbits():
     # by forward moves alone are closed under the inverse moves too.  (That
     # they cover Red_T(w) is checked against the filtered descent.)
     for context, w in hurwitz_cases():
-        forward = {frozenset(f.factors for f in orbit) for orbit in C.hurwitz_orbits(context, w)}
+        forward = {frozenset(orbit) for orbit in C.hurwitz_orbits(context, w)}
         assert forward == two_sided_hurwitz_orbits(set().union(*forward)), (context, w)
 
 
@@ -681,7 +682,7 @@ def test_minus_identity_is_not_quasi_coxeter():
     # its factorizations only generate an abelian sign group, not the
     # pointwise stabilizer of the (trivial) fixed space
     fact = C.red_t_factorizations(context, minus)[0]
-    generated = C.generated_subgroup(context, list(fact.factors))
+    generated = generated_subgroup(context, fact)
     assert len(generated) == 16 < context.order
 
 
@@ -704,7 +705,7 @@ def test_factorization_reflections_stay_in_the_parabolic_closure(family, rk):
     for w in context.elements:
         closure = pointwise_stabilizer(context, fixed_space(context, w))
         for f in C.red_t_factorizations(context, w):
-            assert set(f.factors) <= closure
+            assert set(f) <= closure
 
 
 def test_single_factorization_need_not_generate_the_closure():
@@ -714,8 +715,8 @@ def test_single_factorization_need_not_generate_the_closure():
     context = ctx("B", 2)
     minus = (-1, -2)
     facts = C.red_t_factorizations(context, minus)
-    factor_sets = [set(f.factors) for f in facts]
-    spans = [C.generated_subgroup(context, list(s)) for s in factor_sets]
+    factor_sets = [set(f) for f in facts]
+    spans = [generated_subgroup(context, s) for s in factor_sets]
     assert any(used - span for span in spans for used in factor_sets)
     # the closure itself always contains everything
     closure = pointwise_stabilizer(context, fixed_space(context, minus))
